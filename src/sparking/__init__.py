@@ -12,6 +12,7 @@ from .systems import (
     ParkingSetCertificate,
     SetSystem,
     Universe,
+    VerificationError,
     delta,
     drop_first_set,
     exactly_one,

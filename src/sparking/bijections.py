@@ -1,15 +1,15 @@
 """The two mappings between parking sets and parking functions.
 
-Both algorithms sweep the exactly-one set of the still-active subfamily
-in weight order.  ``rho`` turns a parking set into a parking function by
-counting deletions; ``sigma`` turns a parking function into a parking
-set by spending its values as deletion budgets.  Each run returns a full
-trace (deletions and fixations with global step numbers) so tests can
-replay the execution.
-
-The working state is recomputed per iteration rather than maintained
-incrementally; at desk scale this keeps the code aligned with the step
-structure of the algorithms.
+Both maps are one sweep, ``sweep``, over the bitmask form of the family
+(``SetSystem.compiled``): it repeatedly takes the lightest element of
+the exactly-one pool of the still-active sets and either deletes it from
+its owning set or fixes that set with it.  ``sigma`` turns a parking
+function into a parking set by spending its values as deletion budgets;
+``rho`` turns a parking set into a parking function by fixing exactly
+the input's elements and counting the deletions.  The object-level
+wrappers validate the input, run the sweep and translate its events into
+a ``BijectionTrace`` (deletions and fixations with global step numbers)
+so tests can replay the execution.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .systems import (
     _checked_function,
     _checked_set,
-    exactly_one_sets,
     is_parking_function,
     is_parking_set,
 )
@@ -50,6 +49,68 @@ class BijectionTrace:
                 for kind, step, index, element in self.events()]
 
 
+def sweep(masks, budget, fixed=0, events=None):
+    """The sweep both maps share, over one bitmask per set.
+
+    Each step takes the lowest bit of the exactly-one pool of the active
+    sets.  Its owner is fixed (and retired) when the bit is in ``fixed``
+    or the owner has used up its deletion ``budget``; otherwise the bit
+    is deleted from the owner.  Returns (deletions per set, mask of the
+    fixed bits), or None when the pool empties while sets are active.
+    With ``events`` given, one ("DEL" | "FIX", set position, bit) triple
+    per step is appended to it.
+    """
+    working = list(masks)
+    used = [0] * len(masks)
+    active = list(range(len(masks)))
+    chosen = 0
+    while active:
+        once = twice = 0
+        for j in active:
+            a = working[j]
+            twice |= once & a
+            once |= a
+        pool = once & ~twice
+        if not pool:
+            return None
+        e = pool & -pool
+        for j in active:
+            if working[j] & e:
+                break
+        if e & fixed or used[j] == budget[j]:
+            chosen |= e
+            active.remove(j)
+            kind = "FIX"
+        else:
+            working[j] ^= e
+            used[j] += 1
+            kind = "DEL"
+        if events is not None:
+            events.append((kind, j, e))
+    return used, chosen
+
+
+def _traced_sweep(system, budget, fixed, what):
+    """Run the sweep on ``system``; returns its result and its events
+    translated into a trace."""
+    compiled = system.compiled
+    events = []
+    result = sweep(compiled.masks, budget, fixed, events)
+    if result is None:
+        raise ValueError(f"exactly-one pool emptied mid-run: input is not a {what}")
+    pi, chosen, deletions, fixations = [], [], [], []
+    for step, (kind, j, e) in enumerate(events, start=1):
+        event = (step, j + 1, compiled.order[e.bit_length() - 1])
+        if kind == "FIX":
+            pi.append(j + 1)
+            chosen.append(event[2])
+            fixations.append(event)
+        else:
+            deletions.append(event)
+    return result, BijectionTrace(tuple(pi), tuple(chosen),
+                                  tuple(deletions), tuple(fixations))
+
+
 def rho(system, elements, trusted=False):
     """Map a parking set to a parking function.
 
@@ -66,38 +127,11 @@ def rho(system, elements, trusted=False):
     chosen_input = _checked_set(system, elements)
     if not trusted and not is_parking_set(system, chosen_input):
         raise ValueError("input is not a parking set of the system")
-    k = system.k
-    working = {j: set(system.set_at(j)) for j in range(1, k + 1)}
-    active = list(range(1, k + 1))
-    counters = [0] * k
-    unfixed = set(chosen_input)
-    pi, chosen, deletions, fixations = [], [], [], []
-    step = 0
-    while active:
-        step += 1
-        pool = exactly_one_sets(working[j] for j in active)
-        if not pool:
-            raise ValueError(
-                "exactly-one pool emptied mid-run: input is not a parking set")
-        if unfixed.isdisjoint(pool):
-            raise ValueError(
-                "exactly-one pool avoids the remaining input elements: "
-                "input is not a parking set")
-        e = min(pool, key=system.weight)
-        s = next(j for j in active if e in working[j])  # unique by construction
-        if e not in chosen_input:
-            working[s].remove(e)
-            counters[s - 1] += 1
-            deletions.append((step, s, e))
-        else:
-            pi.append(s)
-            chosen.append(e)
-            fixations.append((step, s, e))
-            active.remove(s)
-            unfixed.discard(e)
-    assert frozenset(chosen) == chosen_input
-    trace = BijectionTrace(tuple(pi), tuple(chosen),
-                           tuple(deletions), tuple(fixations))
+    # a set is only ever fixed by an input element: its cap of |A_j|
+    # deletions is never reached while it still owns a pool element
+    cap = [len(a) for a in system.sets]
+    (counters, _), trace = _traced_sweep(
+        system, cap, system.compiled.mask_of(chosen_input), "parking set")
     return tuple(counters), trace
 
 
@@ -113,30 +147,5 @@ def sigma(system, values, trusted=False):
     f = _checked_function(system, values)
     if not trusted and not is_parking_function(system, f):
         raise ValueError("input is not a parking function of the system")
-    k = system.k
-    working = {j: set(system.set_at(j)) for j in range(1, k + 1)}
-    active = list(range(1, k + 1))
-    budget = list(f)
-    pi, chosen, deletions, fixations = [], [], [], []
-    step = 0
-    while active:
-        step += 1
-        pool = exactly_one_sets(working[j] for j in active)
-        if not pool:
-            raise ValueError(
-                "exactly-one pool emptied mid-run: input is not a parking function")
-        e = min(pool, key=system.weight)
-        s = next(j for j in active if e in working[j])  # unique by construction
-        if budget[s - 1] > 0:
-            working[s].remove(e)
-            budget[s - 1] -= 1
-            deletions.append((step, s, e))
-        else:
-            pi.append(s)
-            chosen.append(e)
-            fixations.append((step, s, e))
-            active.remove(s)
-    assert len(set(chosen)) == k
-    trace = BijectionTrace(tuple(pi), tuple(chosen),
-                           tuple(deletions), tuple(fixations))
-    return frozenset(chosen), trace
+    _, trace = _traced_sweep(system, f, 0, "parking function")
+    return frozenset(trace.chosen), trace

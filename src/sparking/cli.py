@@ -41,7 +41,7 @@ from .matroids import (
     theorem_bijection,
     uniform_matroid,
 )
-from .systems import SetSystem
+from .systems import SetSystem, VerificationError
 
 
 def _read(path):
@@ -288,6 +288,9 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

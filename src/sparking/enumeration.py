@@ -1,21 +1,26 @@
-"""Brute-force enumeration of parking functions and parking sets.
+"""Enumeration of parking functions and parking sets, and the checks
+that the two mappings are inverse bijections between them.
 
-These are the ground-truth oracles for everything else: full
-enumeration of both families, full roundtrip verification of the two
-mappings, an exhaustive small-system generator, seeded random systems,
-and a bitmask fast path used for the large exhaustive sweeps.  The fast
-path computes exactly what the object-level code computes and is
-cross-checked against it.
+``enumerate_parking_functions`` and ``enumerate_parking_sets`` are the
+definitional oracles.  ``check_roundtrip`` is the one roundtrip check:
+it runs the shared sweep on both families in bitmask form.
+``verify_bijection`` feeds it the definitional families of one system;
+``exhaustive_roundtrip_scan`` feeds it the families found by mask-level
+membership filters over every small system of a generator.
+``paired_images`` pairs each parking function with its image for the
+matroid and graph bijections and checks the images against a target
+family.
 """
 
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .bijections import rho, sigma
+from .bijections import sweep
 from .systems import (
     SetSystem,
     Universe,
+    VerificationError,
     is_parking_function,
     is_parking_set,
 )
@@ -86,32 +91,68 @@ def verify_bijection(system):
     inverse between them; failures are report content, never raises."""
     functions = enumerate_parking_functions(system)
     sets_ = enumerate_parking_sets(system)
+    compiled = system.compiled
+    forward, failures = check_roundtrip(
+        compiled.masks, functions, [compiled.mask_of(d) for d in sets_],
+        show=lambda d: sorted(compiled.elements_of(d)))
+    pairs = [(f, compiled.elements_of(forward[f])) for f in functions
+             if forward[f] is not None]
+    return VerificationReport(functions, sets_, pairs, failures)
+
+
+def check_roundtrip(masks, functions, sets, show=lambda d: f"0b{d:b}"):
+    """Check that ``sigma`` maps the parking functions ``functions`` onto
+    the parking sets ``sets`` (given as masks) and ``rho`` maps them back.
+
+    Returns the forward map (function -> mask, None where the sweep
+    stalls) and the failure lines, in which ``show`` renders a mask.
+    """
+    def render(d):
+        return "a stall" if d is None else show(d)
+
     failures = []
-    if len(functions) != len(sets_):
-        failures.append(f"|P|={len(functions)} differs from |Q|={len(sets_)}")
-    set_pool = set(sets_)
-    function_pool = set(functions)
+    if len(functions) != len(sets):
+        failures.append(f"|P|={len(functions)} differs from |Q|={len(sets)}")
+    cap = [a.bit_count() for a in masks]
     forward = {}
     for f in functions:
-        image, _ = sigma(system, f, trusted=True)
-        forward[f] = image
-        if image not in set_pool:
-            failures.append(f"sigma({f}) = {sorted(image)} is not a parking set")
+        run = sweep(masks, f)
+        forward[f] = None if run is None else run[1]
     backward = {}
-    for d in sets_:
-        values, _ = rho(system, d, trusted=True)
-        backward[d] = values
-        if values not in function_pool:
-            failures.append(f"rho({sorted(d)}) = {values} is not a parking function")
-    for f, image in forward.items():
-        if backward.get(image) != f:
-            failures.append(f"rho(sigma({f})) = {backward.get(image)} != {f}")
-    for d, values in backward.items():
-        if forward.get(values) != d:
-            failures.append(
-                f"sigma(rho({sorted(d)})) = {sorted(forward.get(values, ()))} != {sorted(d)}")
-    pairs = [(f, forward[f]) for f in functions]
-    return VerificationReport(functions, sets_, pairs, failures)
+    for d in sets:
+        run = sweep(masks, cap, d)
+        backward[d] = None if run is None else tuple(run[0])
+    for f, d in forward.items():
+        if d not in backward:
+            failures.append(f"sigma({f}) = {render(d)} is not a parking set")
+        elif backward[d] != f:
+            failures.append(f"rho(sigma({f})) = {backward[d]} != {f}")
+    for d, f in backward.items():
+        if f not in forward:
+            failures.append(f"rho({show(d)}) = {f} is not a parking function")
+        elif forward[f] != d:
+            failures.append(f"sigma(rho({show(d)})) = {render(forward[f])} != {show(d)}")
+    return forward, failures
+
+
+def paired_images(system, target, transform=None):
+    """Pair every parking function with its ``sigma`` image, passed
+    through ``transform`` when given, and check that the images hit each
+    member of ``target`` exactly once; raises VerificationError if not."""
+    compiled = system.compiled
+    pairs = []
+    for f in enumerate_parking_functions(system):
+        run = sweep(compiled.masks, f)
+        if run is None:
+            raise VerificationError(f"sigma stalls on the parking function {f}")
+        image = compiled.elements_of(run[1])
+        pairs.append((f, image if transform is None else transform(image)))
+    images = {image for _, image in pairs}
+    if len(images) != len(pairs):
+        raise VerificationError("bijection image has a collision")
+    if images != set(target):
+        raise VerificationError("bijection image differs from the target family")
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -180,67 +221,11 @@ def random_set_system(rng, max_k=4, max_universe=6, shuffled_weights=False):
 
 
 # ---------------------------------------------------------------------------
-# bitmask fast path for the exhaustive sweeps
+# mask-level families for the exhaustive sweeps
 
-def _sigma_masks(masks, values):
-    """Bitmask run of the function-to-set mapping; None when it stalls."""
-    working = list(masks)
-    budget = list(values)
-    active = list(range(len(masks)))
-    out = 0
-    while active:
-        once = 0
-        twice = 0
-        for j in active:
-            a = working[j]
-            twice |= once & a
-            once |= a
-        pool = once & ~twice
-        if not pool:
-            return None
-        e = pool & -pool
-        for j in active:
-            if working[j] & e:
-                break
-        if budget[j] > 0:
-            working[j] &= ~e
-            budget[j] -= 1
-        else:
-            out |= e
-            active.remove(j)
-    return out
-
-
-def _rho_masks(masks, dmask):
-    """Bitmask run of the set-to-function mapping; None when it stalls."""
-    working = list(masks)
-    active = list(range(len(masks)))
-    counters = [0] * len(masks)
-    while active:
-        once = 0
-        twice = 0
-        for j in active:
-            a = working[j]
-            twice |= once & a
-            once |= a
-        pool = once & ~twice
-        if not pool:
-            return None
-        e = pool & -pool
-        for j in active:
-            if working[j] & e:
-                break
-        if e & dmask:
-            active.remove(j)
-        else:
-            working[j] &= ~e
-            counters[j] += 1
-    return tuple(counters)
-
-
-def _scan_masks(k, masks):
-    """Enumerate both families of one bitmask system and verify the
-    roundtrips; returns (|P|, |Q|, failures)."""
+def mask_families(k, masks):
+    """Both families of one bitmask system by mask-level membership
+    filters: P as value tuples in lexicographic order, Q as masks."""
     union = 0
     for a in masks:
         union |= a
@@ -280,21 +265,7 @@ def _scan_masks(k, masks):
                 break
         if good:
             ps.append(f)
-
-    failures = []
-    if len(ps) != len(qs):
-        failures.append(f"|P|={len(ps)} |Q|={len(qs)}")
-    forward = {f: _sigma_masks(masks, f) for f in ps}
-    backward = {d: _rho_masks(masks, d) for d in qs}
-    q_pool = set(qs)
-    p_pool = set(ps)
-    for f, d in forward.items():
-        if d not in q_pool or backward.get(d) != f:
-            failures.append(f"roundtrip failed at f={f}")
-    for d, f in backward.items():
-        if f not in p_pool or forward.get(f) != d:
-            failures.append(f"roundtrip failed at D=0b{d:b}")
-    return len(ps), len(qs), failures
+    return ps, qs
 
 
 @dataclass
@@ -309,29 +280,14 @@ class ScanReport:
         return not self.failures
 
 
-def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True,
-                              cross_check_every=0):
-    """Run the roundtrip verification over every generated system.
-
-    With ``cross_check_every`` = N > 0, every N-th system is re-verified
-    through the object-level code and the outcomes compared, guarding
-    the fast path against drift.
-    """
+def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
+    """Run the roundtrip check over every generated system."""
     report = ScanReport()
     for k, _, masks in all_mask_systems(max_k, max_universe, canonical):
         report.systems += 1
-        n_p, n_q, failures = _scan_masks(k, masks)
-        report.members += n_p
+        ps, qs = mask_families(k, masks)
+        report.members += len(ps)
+        _, failures = check_roundtrip(masks, ps, qs)
         if failures:
             report.failures.append(f"system {masks}: {failures}")
-        if cross_check_every and report.systems % cross_check_every == 0:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                slow = verify_bijection(system_from_masks(masks))
-            mask_pairs = {f: sum(1 << (e - 1) for e in d) for f, d in slow.pairs}
-            fast_pairs = {f: _sigma_masks(masks, f) for f in slow.functions}
-            if (not slow.ok or slow.n_functions != n_p or slow.n_sets != n_q
-                    or mask_pairs != fast_pairs):
-                report.failures.append(
-                    f"fast path disagrees with object path on {masks}")
     return report

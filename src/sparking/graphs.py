@@ -13,8 +13,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .bijections import sigma
-from .enumeration import enumerate_parking_functions
+from .enumeration import enumerate_parking_functions, paired_images
 from .matroids import Matroid, PreconditionError
 from .systems import SetSystem, Universe, _index_subsets, exactly_one_sets
 
@@ -43,12 +42,6 @@ class Multigraph:
     @property
     def edge_ids(self):
         return frozenset(e for e, _, _ in self.edges)
-
-    def endpoints(self, edge_id):
-        for e, u, v in self.edges:
-            if e == edge_id:
-                return u, v
-        raise ValueError(f"no edge with id {edge_id}")
 
     def is_connected(self):
         if self.n_vertices == 1:
@@ -260,16 +253,7 @@ def spanning_tree_bijection(graph, weights=None):
         raise ValueError("graph is not connected")
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
-    system = star_system(graph, weights)
-    pairs = []
-    for f in enumerate_parking_functions(system):
-        image, _ = sigma(system, f, trusted=True)
-        pairs.append((f, image))
-    images = [tree for _, tree in pairs]
-    assert len(set(images)) == len(images), "tree bijection has a collision"
-    assert set(images) == set(spanning_trees(graph)), \
-        "tree bijection misses or exceeds the spanning trees"
-    return pairs
+    return paired_images(star_system(graph, weights), spanning_trees(graph))
 
 
 def face_boundary_bijection(graph, boundaries, weights=None):
@@ -307,15 +291,7 @@ def face_boundary_bijection(graph, boundaries, weights=None):
         warnings.simplefilter("ignore")
         system = SetSystem(boundaries, universe)
     ground = graph.edge_ids
-    pairs = []
-    for f in enumerate_parking_functions(system):
-        image, _ = sigma(system, f, trusted=True)
-        pairs.append((f, ground - image))
-    images = [tree for _, tree in pairs]
-    assert len(set(images)) == len(images), "face bijection has a collision"
-    assert set(images) == set(spanning_trees(graph)), \
-        "face bijection misses or exceeds the spanning trees"
-    return pairs
+    return paired_images(system, spanning_trees(graph), lambda image: ground - image)
 
 
 def random_connected_multigraph(rng, max_vertices=5, max_edges=8):

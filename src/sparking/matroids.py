@@ -14,9 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .bijections import sigma
-from .enumeration import enumerate_parking_functions, enumerate_parking_sets
-from .systems import SetSystem, Universe, _index_subsets, exactly_one_sets
+from .enumeration import enumerate_parking_sets, paired_images
+from .systems import (
+    SetSystem,
+    Universe,
+    VerificationError,
+    _index_subsets,
+    exactly_one_sets,
+)
 
 
 class PreconditionError(ValueError):
@@ -254,15 +259,8 @@ def theorem_bijection(matroid, parts, side, weights=None):
     parts = _checked_parts(matroid, parts)
     target = _checked_side(matroid, parts, side)
     system = _system_over(matroid, parts, weights)
-    pairs = []
-    for f in enumerate_parking_functions(system):
-        image, _ = sigma(system, f, trusted=True)
-        basis = matroid.ground - image if side == "circuit" else image
-        pairs.append((f, basis))
-    images = [b for _, b in pairs]
-    assert len(set(images)) == len(images), "bijection image has a collision"
-    assert set(images) == target, "bijection image differs from the surviving bases"
-    return pairs
+    complement = (lambda image: matroid.ground - image) if side == "circuit" else None
+    return paired_images(system, target, complement)
 
 
 def corollary_full_cover(matroid, parts, side):
@@ -279,10 +277,11 @@ def corollary_full_cover(matroid, parts, side):
         if reference.rank(pool) == len(pool):   # independent: no circuit inside
             cover = False
             break
-    assert cover == (target == frozenset(matroid.bases))
+    if cover != (target == frozenset(matroid.bases)):
+        raise VerificationError(
+            "full cover disagrees with the surviving-basis family")
     if cover:
-        pairs = theorem_bijection(matroid, parts, side)
-        assert {b for _, b in pairs} == set(matroid.bases)
+        theorem_bijection(matroid, parts, side)
     return cover
 
 

@@ -5,6 +5,7 @@ table of pairwise-distinct rational element weights.  This module holds
 the exactly-one operation, the parking-function / parking-set predicates
 with their greedy permutation certificates, the reduction steps that the
 mapping algorithms lean on, and the weight-rank statistic ``delta``.
+``SetSystem.compiled`` is the bitmask form the mapping sweep runs on.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -12,12 +13,17 @@ integers; the default weight of an element is its own id.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 # Definitional checks enumerate all 2^k - 1 index subsets; refuse beyond this.
 MAX_CHECK_SETS = 20
+
+
+class VerificationError(Exception):
+    """A computed result contradicts what the theory guarantees."""
 
 
 class Universe:
@@ -48,13 +54,6 @@ class Universe:
             return self._table[element]
         except KeyError:
             raise ValueError(f"element {element} is not in the universe") from None
-
-    def min_element(self, elements):
-        """The unique lightest member of a non-empty collection."""
-        items = list(elements)
-        if not items:
-            raise ValueError("cannot take the minimum of no elements")
-        return min(items, key=self.weight)
 
     def __contains__(self, element):
         return element in self._table
@@ -122,6 +121,13 @@ class SetSystem:
     def weight(self, element):
         return self._universe.weight(element)
 
+    @cached_property
+    def compiled(self):
+        """Bitmask form of the family, built on first use."""
+        order = tuple(sorted(self._covered, key=self._universe.weight))
+        bit = {e: 1 << b for b, e in enumerate(order)}
+        return Compiled(order, bit, tuple(sum(bit[e] for e in s) for s in self._sets))
+
     def with_sets(self, sets):
         """A system over the same universe with a different family."""
         with warnings.catch_warnings():
@@ -140,6 +146,21 @@ class SetSystem:
         inner = ", ".join("{" + ",".join(map(str, sorted(s))) + "}"
                           for s in self._sets)
         return f"SetSystem([{inner}])"
+
+
+class Compiled(NamedTuple):
+    """A family as bitmasks: bit b stands for ``order[b]``, the b-th
+    lightest covered element, so the lowest set bit is the lightest."""
+    order: tuple
+    bit: dict
+    masks: tuple
+
+    def mask_of(self, elements):
+        """Mask of ``elements``; elements outside the family get no bit."""
+        return sum(self.bit.get(e, 0) for e in frozenset(elements))
+
+    def elements_of(self, mask):
+        return frozenset(e for b, e in enumerate(self.order) if mask >> b & 1)
 
 
 def _checked_indices(system, indices):
@@ -183,10 +204,11 @@ def _index_subsets(k):
 
 def exactly_one_sets(sets):
     """Elements that belong to exactly one of the given sets."""
-    tally = Counter()
+    once, twice = set(), set()
     for s in sets:
-        tally.update(s)
-    return frozenset(e for e, n in tally.items() if n == 1)
+        twice.update(once.intersection(s))
+        once.update(s)
+    return frozenset(once - twice)
 
 
 def exactly_one(system, indices):
@@ -282,7 +304,8 @@ def parking_set_permutation(system, elements):
     # a completed certificate picks up exactly one element per step,
     # because the k step contributions are pairwise disjoint inside a
     # k-element set
-    assert all(len(hit) == 1 for _, hit in steps)
+    if any(len(hit) != 1 for _, hit in steps):
+        raise VerificationError("parking-set certificate took a step with several elements")
     return ParkingSetCertificate(tuple(i for i, _ in steps),
                                  tuple(next(iter(hit)) for _, hit in steps))
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -97,6 +98,46 @@ def test_trace_replays_u42(u42_system):
         assert frozenset(trace.chosen) == chosen
 
 
+def _families():
+    yield SetSystem([{1, 2, 3}, {2, 4}, {3, 4, 5}],
+                    Universe({1: 3, 2: 5, 3: 1, 4: 4, 5: 2}))
+    yield SetSystem([{1, 2, 3, 5}, {2, 4}, {1, 4, 5}],
+                    Universe({1: Fraction(1, 2), 2: -3, 3: Fraction(7, 3),
+                              4: Fraction(-1, 7), 5: 0}))
+    yield SetSystem([{1, 2}, {2, 3, 4}, {1, 4, 5}],
+                    Universe({1: -2, 2: 5, 3: -7, 4: Fraction(1, 2), 5: -1}))
+    yield SetSystem([])
+    rng = random.Random(11)
+    for _ in range(20):
+        yield random_set_system(rng, shuffled_weights=True)
+
+
+def test_trace_replays_for_every_weight_order():
+    # the replay recomputes every step from exactly_one_sets and the
+    # weights, so it pins the compiled bit order to the definition
+    for system in _families():
+        for values in enumerate_parking_functions(system):
+            image, trace = sigma(system, values)
+            _replay(system, trace)
+            assert frozenset(trace.chosen) == image
+        for chosen in enumerate_parking_sets(system):
+            values, trace = rho(system, chosen)
+            _replay(system, trace)
+            assert frozenset(trace.chosen) == chosen
+
+
+def test_empty_member_stalls_both_maps():
+    with pytest.warns(UserWarning):
+        system = SetSystem([{1, 2}, set()])
+    assert enumerate_parking_sets(system) == []
+    for values in [(0, 0), (1, 0)]:
+        with pytest.raises(ValueError):
+            sigma(system, values, trusted=True)
+    for chosen in combinations([1, 2], 2):
+        with pytest.raises(ValueError):
+            rho(system, chosen, trusted=True)
+
+
 def test_trace_contracts_randomized():
     rng = random.Random(5)
     checked = 0
@@ -155,7 +196,6 @@ def test_roundtrip_with_shuffled_weights():
 
 
 def test_roundtrip_with_rational_weights():
-    from fractions import Fraction
     universe = Universe({1: Fraction(5, 2), 2: Fraction(-1, 3),
                          3: Fraction(1, 7), 4: 4})
     system = SetSystem([{1, 2, 3}, {1, 2, 4}], universe)

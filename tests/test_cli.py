@@ -5,10 +5,13 @@ from importlib import resources
 
 import pytest
 
+import sparking.graphs
+from sparking import VerificationError, complete_graph, spanning_tree_bijection
 from sparking.cli import main
 
 U42 = "2 4\n1 2 3\n1 2 4\n"
 K3 = "vertices 3\n1 0 1\n2 0 2\n3 1 2\n"
+K4 = "vertices 4\n1 0 1\n2 0 2\n3 0 3\n4 1 2\n5 1 3\n6 2 3\n"
 
 
 @pytest.fixture
@@ -129,6 +132,19 @@ def test_graph_star_side(k3_file, capsys):
     out = capsys.readouterr().out
     assert "spanning trees: 3" in out
     assert "bijection onto spanning trees: OK" in out
+
+
+def test_graph_failed_verdict_exits_1(monkeypatch, tmp_path, capsys):
+    trees = sparking.graphs.spanning_trees
+    monkeypatch.setattr(sparking.graphs, "spanning_trees", lambda graph: trees(graph)[1:])
+    with pytest.raises(VerificationError):
+        spanning_tree_bijection(complete_graph(4))
+    path = tmp_path / "k4.txt"
+    path.write_text(K4)
+    assert main(["graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert captured.err.startswith("verification failed: ")
 
 
 def test_graph_face_side(k3_file, tmp_path, capsys):

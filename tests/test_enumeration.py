@@ -1,17 +1,18 @@
 import random
 import warnings
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
 from sparking import SetSystem, verify_bijection
 from sparking.enumeration import (
-    _scan_masks,
     all_mask_systems,
     all_set_systems,
+    check_roundtrip,
     enumerate_parking_functions,
     enumerate_parking_sets,
     exhaustive_roundtrip_scan,
+    mask_families,
     random_set_system,
     system_from_masks,
 )
@@ -126,33 +127,58 @@ def test_inert_universe_elements_are_immaterial(u42_system):
     assert a.pairs == b.pairs
 
 
-# --- bitmask fast path ----------------------------------------------------------
+# --- mask-level families and the shared roundtrip check -----------------------
+
+def _check_mask_system(k, masks):
+    """The scan's mask filters find the definitional families, the
+    roundtrip check passes on them, and verify_bijection pairs alike."""
+    ps, qs = mask_families(k, masks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = system_from_masks(masks)
+        functions = enumerate_parking_functions(system)
+        report = verify_bijection(system)
+    compiled = system.compiled
+    assert compiled.masks == masks       # identity weights: bit b is element b+1
+    assert ps == functions
+    assert qs == [compiled.mask_of(d) for d in enumerate_parking_sets(system)]
+    forward, failures = check_roundtrip(masks, ps, qs)
+    assert not failures
+    assert report.ok
+    assert {f: compiled.mask_of(d) for f, d in report.pairs} == forward
+
 
 def test_fast_path_agrees_with_object_path_exhaustively():
     for k, _, masks in all_mask_systems(2, 3, canonical=False):
-        n_p, n_q, failures = _scan_masks(k, masks)
-        assert not failures
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = verify_bijection(system_from_masks(masks))
-        assert report.ok
-        assert (report.n_functions, report.n_sets) == (n_p, n_q)
+        _check_mask_system(k, masks)
 
 
 def test_fast_path_agrees_on_three_set_samples():
     entries = [entry for entry in all_mask_systems(3, 4, canonical=True)]
     rng = random.Random(1)
     for k, _, masks in rng.sample(entries, 120):
-        n_p, n_q, failures = _scan_masks(k, masks)
-        assert not failures
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = verify_bijection(system_from_masks(masks))
-        assert (report.n_functions, report.n_sets) == (n_p, n_q)
-        assert report.ok
+        _check_mask_system(k, masks)
+
+
+def test_scan_agrees_with_oracles_on_every_thousandth_system():
+    # every 1000th system of the criterion-3 corpus (k <= 3, m <= 6)
+    sample = islice(all_mask_systems(3, 6, canonical=False), 999, None, 1000)
+    checked = 0
+    for k, _, masks in sample:
+        _check_mask_system(k, masks)
+        checked += 1
+    assert checked == 138
+
+
+def test_roundtrip_check_reports_failures():
+    masks = (0b0111, 0b1011)             # u42: {1,2,3} and {1,2,4}
+    ps, qs = mask_families(2, masks)
+    _, failures = check_roundtrip(masks, ps[1:] + [(2, 2)], qs)
+    assert failures == ["sigma((2, 2)) = a stall is not a parking set",
+                        "rho(0b101) = (0, 0) is not a parking function"]
 
 
 def test_scan_small_scale():
-    report = exhaustive_roundtrip_scan(2, 4, canonical=False, cross_check_every=10)
+    report = exhaustive_roundtrip_scan(2, 4, canonical=False)
     assert report.ok
     assert report.systems == 5 + (1 + 3 + 9 + 27 + 81)   # k=1 coverings + k=2 families

@@ -36,7 +36,6 @@ def test_parse_set_system_with_weights():
     system = parse_set_system(text)
     assert system.weight(2) == Fraction(1, 2)
     assert system.weight(3) == Fraction(1, 4)
-    assert system.universe.min_element({1, 2, 3}) == 3
 
 
 def test_parse_set_system_errors_carry_line_numbers():

@@ -40,7 +40,6 @@ def test_universe_rejects_bad_ids():
 def test_universe_accepts_rationals():
     u = Universe({1: Fraction(1, 2), 2: "1/3", 3: 7})
     assert u.weight(2) == Fraction(1, 3)
-    assert u.min_element({1, 2, 3}) == 2
 
 
 def test_system_rejects_elements_outside_universe():
