@@ -1,12 +1,22 @@
 """Enumeration of parking functions and parking sets, and the checks
 that the two mappings are inverse bijections between them.
 
-``enumerate_parking_functions`` and ``enumerate_parking_sets`` are the
-definitional oracles.  ``check_roundtrip`` is the one roundtrip check:
-it runs the shared sweep on both families in bitmask form.
-``verify_bijection`` feeds it the definitional families of one system;
-``exhaustive_roundtrip_scan`` feeds it the families found by mask-level
-membership filters over every small system of a generator.
+The production membership filter is the subfamily table:
+``subfamily_table`` walks the non-empty index subsets once and records
+each subset's exactly-one pool (as a mask) and its members' private-part
+thresholds.  ``box_filter`` keeps the value vectors of the box that beat
+some threshold of every subset (P), and ``pool_filter`` the k-subsets
+that meet every pool (Q).  ``mask_families``, ``table_functions``,
+``table_sets`` and ``subfamily_pools`` read the matroid, graph and scan
+families off that table.  ``enumerate_parking_functions`` and
+``enumerate_parking_sets``, which test every candidate against all
+2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
+and the tests use them.
+
+``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
+on both families in bitmask form.  ``verify_bijection`` feeds it the
+definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
+it the table's families of every small system of a generator.
 ``paired_images`` pairs each parking function with its image for the
 matroid and graph bijections and checks the images against a target
 family.
@@ -21,6 +31,7 @@ from .systems import (
     SetSystem,
     Universe,
     VerificationError,
+    _subset_budget,
     is_parking_function,
     is_parking_set,
 )
@@ -141,7 +152,7 @@ def paired_images(system, target, transform=None):
     member of ``target`` exactly once; raises VerificationError if not."""
     compiled = system.compiled
     pairs = []
-    for f in enumerate_parking_functions(system):
+    for f in table_functions(system):
         run = sweep(compiled.masks, f)
         if run is None:
             raise VerificationError(f"sigma stalls on the parking function {f}")
@@ -221,51 +232,94 @@ def random_set_system(rng, max_k=4, max_universe=6, shuffled_weights=False):
 
 
 # ---------------------------------------------------------------------------
-# mask-level families for the exhaustive sweeps
+# the subfamily table: the production membership filters
 
-def mask_families(k, masks):
-    """Both families of one bitmask system by mask-level membership
-    filters: P as value tuples in lexicographic order, Q as masks."""
-    union = 0
-    for a in masks:
-        union |= a
-    # per non-empty index subset: exactly-one mask and private-part sizes
-    constraints = []
+def subfamily_table(masks):
+    """One pass over the non-empty index subsets of a bitmask family.
+
+    Returns one (pool, thresholds) pair per subset, in bitmask order:
+    the subset's exactly-one pool as a mask, and the pairs (j, |A_j ∩
+    pool|) of its members j (0-based).  Refuses k > ``MAX_CHECK_SETS``.
+    """
+    k = len(masks)
+    _subset_budget(k)
+    table = []
     for imask in range(1, 1 << k):
         selected = [j for j in range(k) if imask >> j & 1]
-        once = 0
-        twice = 0
+        once = twice = 0
         for j in selected:
             a = masks[j]
             twice |= once & a
             once |= a
         pool = once & ~twice
-        constraints.append((pool, [(j, (masks[j] & pool).bit_count())
-                                   for j in selected]))
+        table.append((pool, [(j, (masks[j] & pool).bit_count()) for j in selected]))
+    return table
 
-    bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
-    qs = []
-    for combo in combinations(bits, k):
-        d = 0
-        for bit in combo:
-            d |= bit
-        if all(pool & d for pool, _ in constraints):
-            qs.append(d)
 
-    ps = []
-    boxes = [range(a.bit_count()) for a in masks]
+def box_filter(boxes, thresholds):
+    """The value tuples f of the box ``boxes``, in lexicographic order,
+    for which every threshold list holds some (j, t) with f[j] < t."""
+    found = []
     for f in product(*boxes):
-        good = True
-        for _, sizes in constraints:
-            for j, size in sizes:
-                if size > f[j]:
+        for pairs in thresholds:
+            for j, t in pairs:
+                if f[j] < t:
                     break
             else:
-                good = False
                 break
-        if good:
-            ps.append(f)
-    return ps, qs
+        else:
+            found.append(f)
+    return found
+
+
+def pool_filter(masks, pools):
+    """The k-subsets of the covered bits that meet every pool, as masks
+    in combination order (k = len(masks))."""
+    union = 0
+    for a in masks:
+        union |= a
+    bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
+    return [d for d in map(sum, combinations(bits, len(masks)))
+            if all(pool & d for pool in pools)]
+
+
+def mask_families(k, masks):
+    """Both families of one bitmask system from its subfamily table:
+    P as value tuples in lexicographic order, Q as masks."""
+    table = subfamily_table(masks)
+    return (box_filter([range(a.bit_count()) for a in masks], [t for _, t in table]),
+            pool_filter(masks, [pool for pool, _ in table]))
+
+
+def table_functions(system):
+    """The parking functions of ``system`` by ``box_filter`` over its
+    subfamily table; same list and empty-member warning as the oracle."""
+    masks = system.compiled.masks
+    if not all(masks):
+        warnings.warn("family contains an empty set: no parking functions",
+                      stacklevel=2)
+        return []
+    table = subfamily_table(masks)
+    return box_filter([range(a.bit_count()) for a in masks], [t for _, t in table])
+
+
+def table_sets(system):
+    """The parking sets of ``system`` by ``pool_filter`` over its
+    subfamily table, sorted like the oracle's."""
+    compiled = system.compiled
+    pools = [pool for pool, _ in subfamily_table(compiled.masks)]
+    return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, pools)),
+                  key=sorted)
+
+
+def subfamily_pools(sets):
+    """Each non-empty subfamily of ``sets`` as (its 1-based member
+    indices, its exactly-one set), in bitmask order, from one table."""
+    elements = tuple(frozenset().union(*sets))
+    bit = {e: 1 << b for b, e in enumerate(elements)}
+    table = subfamily_table([sum(bit[e] for e in s) for s in sets])
+    return [([j + 1 for j, _ in pairs], frozenset(e for e in elements if bit[e] & pool))
+            for pool, pairs in table]
 
 
 @dataclass

@@ -83,29 +83,45 @@ def parse_set_system(text):
         raise FormatError(str(exc)) from exc
 
 
+def _json_int(value, what):
+    """An integer field of the JSON format; bools are not integers."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"expected an integer {what}, got {value!r}") from None
+
+
+def _json_weight(value):
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise FormatError(f"bad weight {value!r}") from None
+
+
 def parse_set_system_json(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "sets" not in obj:
         raise FormatError("expected an object with a 'sets' key")
-    sets = [frozenset(int(e) for e in s) for s in obj["sets"]]
+    if not (isinstance(obj["sets"], list) and all(isinstance(s, list) for s in obj["sets"])):
+        raise FormatError("'sets' must be a list of element-id lists")
+    sets = [frozenset(_json_int(e, "element id") for e in s) for s in obj["sets"]]
     covered = {e for s in sets for e in s}
     raw = obj.get("weights")
-    if raw is None:
-        universe = Universe.identity(covered)
-    else:
-        weights = {}
-        for key, value in raw.items():
-            if isinstance(value, float):
-                value = Fraction(str(value))
-            weights[int(key)] = Fraction(value)
-        for e in covered:
-            weights.setdefault(e, Fraction(e))
-        universe = Universe(weights)
+    if raw is not None and not isinstance(raw, dict):
+        raise FormatError("'weights' must be an object from element ids to weights")
+    weights = {e: Fraction(e) for e in covered}
+    if raw is not None:
+        weights.update((_json_int(key, "element id"), _json_weight(value))
+                       for key, value in raw.items())
     try:
-        return SetSystem(sets, universe)
+        return SetSystem(sets, Universe(weights))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

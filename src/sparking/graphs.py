@@ -7,15 +7,23 @@ form the cocircuit-side family whose parking functions are exactly the
 degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
 caller drive the circuit-side variant.
+
+G-parking functions are enumerated by ``box_filter`` over the value box
+0 <= f[i-1] < deg(i): the degree table (``_degree_table``) holds, for
+every non-empty set S of non-root vertices, the number of edges from
+each i in S to vertices outside S, and f must stay below one of them.
+``is_g_parking_function`` tests one vector against the same table.  The
+star side of the equivalence comes from the star system's subfamily
+table, so the two lists are computed from different thresholds.
 """
 
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .enumeration import enumerate_parking_functions, paired_images
+from .enumeration import box_filter, paired_images, subfamily_pools, table_functions
 from .matroids import Matroid, PreconditionError
-from .systems import SetSystem, Universe, _index_subsets, exactly_one_sets
+from .systems import SetSystem, Universe, _index_subsets
 
 
 class Multigraph:
@@ -29,7 +37,7 @@ class Multigraph:
         seen = set()
         cleaned = []
         for edge_id, u, v in edges:
-            if not isinstance(edge_id, int) or edge_id <= 0:
+            if isinstance(edge_id, bool) or not isinstance(edge_id, int) or edge_id <= 0:
                 raise ValueError(f"edge ids must be positive integers, got {edge_id!r}")
             if edge_id in seen:
                 raise ValueError(f"duplicate edge id {edge_id}")
@@ -157,18 +165,21 @@ def star_system(graph, weights=None):
         return SetSystem(star_sets(graph), universe)
 
 
-def _out_degree(graph, vertex, outside):
-    """Edges (with multiplicity) joining ``vertex`` to the vertex set
-    ``outside``; loops never qualify."""
-    total = 0
+def _degree_table(graph):
+    """For every non-empty set S of non-root vertices, in bitmask order:
+    the pairs (i - 1, edges joining i to vertices outside S) for i in S.
+    Loops never leave S; parallel edges count with multiplicity."""
+    vertices = range(graph.n_vertices)
+    joins = [[0] * graph.n_vertices for _ in vertices]
     for _, u, v in graph.edges:
-        if u == v:
-            continue
-        if u == vertex and v in outside:
-            total += 1
-        elif v == vertex and u in outside:
-            total += 1
-    return total
+        if u != v:
+            joins[u][v] += 1
+            joins[v][u] += 1
+    table = []
+    for subset in _index_subsets(graph.n_vertices - 1):
+        outside = [w for w in vertices if w not in subset]
+        table.append([(i - 1, sum(joins[i][w] for w in outside)) for i in subset])
+    return table
 
 
 def is_g_parking_function(graph, values):
@@ -183,15 +194,10 @@ def is_g_parking_function(graph, values):
     values = tuple(values)
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
-    if any(not isinstance(v, int) or v < 0 for v in values):
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in values):
         raise ValueError("values must be non-negative integers")
-    all_vertices = set(range(graph.n_vertices))
-    for subset in _index_subsets(n):
-        inside = set(subset)
-        outside = all_vertices - inside
-        if not any(_out_degree(graph, i, outside) > values[i - 1] for i in inside):
-            return False
-    return True
+    # the box holding just this vector
+    return bool(box_filter([(v,) for v in values], _degree_table(graph)))
 
 
 @dataclass
@@ -213,10 +219,9 @@ def g_parking_equals_s_parking(graph):
     """Enumerate the degree-defined parking functions and the star-set
     parking functions over the same value box and report equality."""
     system = star_system(graph)
-    star_defined = enumerate_parking_functions(system)
+    star_defined = table_functions(system)
     boxes = [range(len(s)) for s in system.sets]
-    degree_defined = [f for f in product(*boxes)
-                      if is_g_parking_function(graph, f)]
+    degree_defined = box_filter(boxes, _degree_table(graph))
     return GParkingReport(degree_defined, star_defined)
 
 
@@ -280,8 +285,7 @@ def face_boundary_bijection(graph, boundaries, weights=None):
     for i, b in enumerate(boundaries, start=1):
         if not matroid.is_union_of_circuits(b):
             raise PreconditionError(f"face set {i} is not a union of cycles")
-    for subset in _index_subsets(len(boundaries)):
-        pool = exactly_one_sets(boundaries[i - 1] for i in subset)
+    for subset, pool in subfamily_pools(boundaries):
         if matroid.rank(pool) == len(pool):
             raise PreconditionError(
                 f"exactly-one set of face sets {subset} contains no cycle")

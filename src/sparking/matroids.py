@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .enumeration import enumerate_parking_sets, paired_images
+from .enumeration import paired_images, subfamily_pools, table_sets
 from .systems import (
     SetSystem,
     Universe,
@@ -108,12 +108,8 @@ class Matroid:
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        parts = _checked_parts(self, parts)
-        hit = set()
-        for subset in _index_subsets(len(parts)):
-            target = exactly_one_sets(parts[i - 1] for i in subset)
-            hit.update(b for b in self.bases if target <= b)
-        return sorted(hit, key=sorted)
+        pools = {pool for _, pool in subfamily_pools(_checked_parts(self, parts))}
+        return [b for b in self.bases if any(pool <= b for pool in pools)]
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
@@ -198,7 +194,7 @@ def parking_sets_vs_bases_circuit_side(matroid, parts):
         raise PreconditionError(
             f"circuit side needs k = |ground| - rank = {expected}, got k = {len(parts)}")
     unions = all(matroid.is_union_of_circuits(p) for p in parts)
-    q_family = enumerate_parking_sets(_system_over(matroid, parts))
+    q_family = table_sets(_system_over(matroid, parts))
     complements = frozenset(matroid.ground - d for d in q_family)
     prime = frozenset(matroid.bases_prime(parts))
     if unions:
@@ -271,12 +267,8 @@ def corollary_full_cover(matroid, parts, side):
     parts = _checked_parts(matroid, parts)
     target = _checked_side(matroid, parts, side)
     reference = matroid if side == "circuit" else matroid.dual
-    cover = True
-    for subset in _index_subsets(len(parts)):
-        pool = exactly_one_sets(parts[i - 1] for i in subset)
-        if reference.rank(pool) == len(pool):   # independent: no circuit inside
-            cover = False
-            break
+    # no subfamily's exactly-one set is independent (circuit-free)
+    cover = all(reference.rank(pool) < len(pool) for _, pool in subfamily_pools(parts))
     if cover != (target == frozenset(matroid.bases)):
         raise VerificationError(
             "full cover disagrees with the surviving-basis family")

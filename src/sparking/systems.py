@@ -32,7 +32,7 @@ class Universe:
     def __init__(self, weights):
         table = {}
         for element, w in dict(weights).items():
-            if not isinstance(element, int) or element <= 0:
+            if isinstance(element, bool) or not isinstance(element, int) or element <= 0:
                 raise ValueError(
                     f"element ids must be positive integers, got {element!r}")
             table[element] = Fraction(w)
@@ -177,7 +177,7 @@ def _checked_function(system, values):
     if len(values) != system.k:
         raise ValueError(f"expected {system.k} function values, got {len(values)}")
     for v in values:
-        if not isinstance(v, int) or v < 0:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"function values must be non-negative integers, got {v!r}")
     return values
 

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparking.graphs
 from sparking import VerificationError, complete_graph, spanning_tree_bijection
 from sparking.cli import main
+
+from test_formats import JSON_DOCUMENTS
 
 U42 = "2 4\n1 2 3\n1 2 4\n"
 K3 = "vertices 3\n1 0 1\n2 0 2\n3 1 2\n"
@@ -179,3 +185,27 @@ def test_module_entry_point(u42_file):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "{1,4}\n"
+
+
+@pytest.mark.parametrize("text", ['{"sets": [[null]]}', '{"sets": 5}',
+                                  '{"sets": [[1,2]], "weights": [1]}', '{"sets": [[true]]}'])
+def test_malformed_json_exits_2_without_traceback(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = subprocess.run([sys.executable, "-m", "sparking", "verify", str(path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+@given(JSON_DOCUMENTS, st.sampled_from(["verify", "enumerate"]))
+@settings(max_examples=150, deadline=None)
+def test_cli_on_arbitrary_json_exits_with_a_known_code(tmp_path_factory, text, command):
+    path = tmp_path_factory.mktemp("fuzz") / "system.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

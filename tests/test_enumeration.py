@@ -1,20 +1,27 @@
 import random
 import warnings
+from fractions import Fraction
 from itertools import islice, permutations
 
 import pytest
 
-from sparking import SetSystem, verify_bijection
+from sparking import SetSystem, Universe, verify_bijection
 from sparking.enumeration import (
     all_mask_systems,
     all_set_systems,
+    box_filter,
     check_roundtrip,
     enumerate_parking_functions,
     enumerate_parking_sets,
     exhaustive_roundtrip_scan,
     mask_families,
+    pool_filter,
     random_set_system,
+    subfamily_pools,
+    subfamily_table,
     system_from_masks,
+    table_functions,
+    table_sets,
 )
 from sparking.graphs import complete_graph, star_system
 
@@ -182,3 +189,73 @@ def test_scan_small_scale():
     report = exhaustive_roundtrip_scan(2, 4, canonical=False)
     assert report.ok
     assert report.systems == 5 + (1 + 3 + 9 + 27 + 81)   # k=1 coverings + k=2 families
+
+
+# --- the subfamily table against the definitional oracles ---------------------
+
+def _reweighted(system, weights):
+    ids = sorted(system.covered)
+    return SetSystem(system.sets, Universe(dict(zip(ids, weights))))
+
+
+def _check_table(system):
+    """Both filters over the table give the oracles' lists, in order, and
+    the table path warns exactly when the oracle does."""
+    with warnings.catch_warnings(record=True) as oracle_warnings:
+        warnings.simplefilter("always")
+        functions = enumerate_parking_functions(system)
+        sets_ = enumerate_parking_sets(system)
+    with warnings.catch_warnings(record=True) as table_warnings:
+        warnings.simplefilter("always")
+        assert table_functions(system) == functions
+        assert table_sets(system) == sets_
+    assert ([str(w.message) for w in table_warnings]
+            == [str(w.message) for w in oracle_warnings])
+    compiled = system.compiled
+    table = subfamily_table(compiled.masks)
+    if all(compiled.masks):
+        boxes = [range(a.bit_count()) for a in compiled.masks]
+        assert box_filter(boxes, [t for _, t in table]) == functions
+    found = pool_filter(compiled.masks, [pool for pool, _ in table])
+    assert sorted(map(compiled.elements_of, found), key=sorted) == sets_
+
+
+def test_table_agrees_with_oracles_on_every_small_system():
+    rng = random.Random(7)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for system in all_set_systems(3, 4, canonical=False):
+            _check_table(system)
+            checked += 1
+            if checked % 5 == 0 and system.covered:
+                m = len(system.covered)
+                shuffled = list(range(1, m + 1))
+                rng.shuffle(shuffled)
+                _check_table(_reweighted(system, shuffled))
+                _check_table(_reweighted(system, [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                                                  + Fraction(i, 1000) for i in range(m)]))
+    assert checked == 5 + 121 + 2801
+
+
+def test_table_lists_subsets_in_bitmask_order():
+    table = subfamily_table((0b0111, 0b1011))          # u42: {1,2,3} and {1,2,4}
+    assert table == [(0b0111, [(0, 3)]), (0b1011, [(1, 3)]),
+                     (0b1100, [(0, 1), (1, 1)])]
+    assert subfamily_pools([{1, 2, 3}, {1, 2, 4}]) == [
+        ([1], frozenset({1, 2, 3})), ([2], frozenset({1, 2, 4})),
+        ([1, 2], frozenset({3, 4}))]
+
+
+def test_table_refuses_beyond_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        subfamily_table((1,) * 21)
+    with pytest.raises(ValueError, match="cap"):
+        table_functions(SetSystem([{1}] * 21))
+
+
+def test_box_filter_keeps_lexicographic_order():
+    # f[0] < 1 or f[1] < 2, over the box 0..2 x 0..2
+    assert box_filter([range(3), range(3)], [[(0, 1), (1, 2)]]) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
+    assert box_filter([], []) == [()]

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparking.formats import (
     FormatError,
@@ -67,6 +69,46 @@ def test_parse_set_system_json_mirror():
         parse_set_system_json("[1, 2]")
     with pytest.raises(FormatError):
         parse_set_system_json("{nope")
+
+
+@pytest.mark.parametrize("text", [
+    '{"sets": [[null]]}',
+    '{"sets": 5}',
+    '{"sets": [5]}',
+    '{"sets": [[1, 2]], "weights": [1]}',
+    '{"sets": [[true]]}',
+    '{"sets": [[1]], "weights": {"1": true}}',
+    '{"sets": [[1]], "weights": {"x": 1}}',
+    '{"sets": [[1]], "weights": {"1": null}}',
+    '{"sets": [[Infinity]]}',
+    '{"sets": [[0]]}',
+])
+def test_parse_set_system_json_rejects_malformed(text):
+    with pytest.raises(FormatError):
+        parse_set_system_json(text)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
+           | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=10)
+# near-valid payloads: small families of mostly valid ids, odd weights
+PAYLOADS = st.fixed_dictionaries(
+    {"sets": st.lists(st.lists(st.integers(1, 6) | SCALARS, max_size=4), max_size=4)
+     | JSON_VALUES},
+    optional={"weights": st.dictionaries(st.integers(-1, 7).map(str) | st.text(max_size=2),
+                                         SCALARS, max_size=5) | JSON_VALUES})
+JSON_DOCUMENTS = (PAYLOADS | JSON_VALUES).map(json.dumps) | st.text(max_size=12)
+
+
+@given(JSON_DOCUMENTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_set_system_json_raises_only_format_errors(text):
+    try:
+        parse_set_system_json(text)
+    except FormatError:
+        pass
 
 
 def test_load_set_system_dispatches():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -19,7 +20,8 @@ from sparking import (
     star_sets,
     star_system,
 )
-from sparking.enumeration import enumerate_parking_functions, enumerate_parking_sets
+from sparking.enumeration import box_filter, enumerate_parking_functions, enumerate_parking_sets
+from sparking.graphs import _degree_table
 from sparking.matroids import corollary_full_cover
 
 
@@ -32,6 +34,8 @@ def test_multigraph_validation():
         Multigraph(2, [(1, 0, 5)])              # endpoint out of range
     with pytest.raises(ValueError):
         Multigraph(0, [])
+    with pytest.raises(ValueError, match="edge ids"):
+        Multigraph(2, [(True, 0, 1)])           # bool is not an edge id
 
 
 def test_connectivity():
@@ -145,6 +149,37 @@ def test_g_parking_validation(k3):
         is_g_parking_function(k3, (0,))
     with pytest.raises(ValueError):
         is_g_parking_function(k3, (0, -1))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        is_g_parking_function(k3, (True, 0))
+
+
+def _g_parking_by_definition(graph, values):
+    """Every non-empty set S of non-root vertices holds some i with more
+    edges from i to vertices outside S than values[i-1], subset by subset."""
+    n = graph.n_vertices - 1
+    for imask in range(1, 1 << n):
+        inside = {i for i in range(1, n + 1) if imask >> (i - 1) & 1}
+        if not any(sum(1 for _, u, v in graph.edges if u != v
+                       and ((u == i and v not in inside) or (v == i and u not in inside)))
+                   > values[i - 1] for i in inside):
+            return False
+    return True
+
+
+def test_degree_table_filter_matches_the_definition():
+    rng = random.Random(21)
+    graphs = [complete_graph(n) for n in (2, 3, 4, 5)]
+    graphs += [random_connected_multigraph(rng) for _ in range(50)]
+    for g in graphs:
+        # one past each degree, so vectors off the star box are tried too
+        boxes = [range(len(star) + 1) for star in star_sets(g)]
+        expected = [f for f in product(*boxes) if _g_parking_by_definition(g, f)]
+        assert box_filter(boxes, _degree_table(g)) == expected
+        assert [f for f in product(*boxes) if is_g_parking_function(g, f)] == expected
+        report = g_parking_equals_s_parking(g)
+        assert report.equal
+        assert report.degree_defined == [f for f in expected
+                                          if all(v < len(b) - 1 for v, b in zip(f, boxes))]
 
 
 def test_g_parking_equals_s_parking_k3(k3):

@@ -15,6 +15,7 @@ from sparking import (
     uniform_matroid,
 )
 from sparking.graphs import complete_graph, graphic_matroid, star_sets
+from sparking.systems import exactly_one_sets
 
 
 def _subsets(ground):
@@ -112,6 +113,27 @@ def test_bracket_and_prime(u42):
 
     assert set(u42.bases_bracket([frozenset()])) == set(u42.bases)
     assert u42.bases_prime([frozenset()]) == []
+
+
+def _bracket_by_definition(matroid, parts):
+    hit = set()
+    for imask in range(1, 1 << len(parts)):
+        target = exactly_one_sets(p for j, p in enumerate(parts) if imask >> j & 1)
+        hit.update(b for b in matroid.bases if target <= b)
+    return sorted(hit, key=sorted)
+
+
+def test_bracket_matches_the_definition_on_uniform_matroids():
+    rng = random.Random(17)
+    for n in range(0, 6):
+        ground = list(_subsets(range(1, n + 1)))
+        for r in range(n + 1):
+            matroid = uniform_matroid(n, r)
+            families = [[p] for p in ground] + [list(pair) for pair in product(ground, repeat=2)]
+            families += [[rng.choice(ground) for _ in range(k)]
+                         for k in (3, 4) for _ in range(20)]
+            for parts in families:
+                assert matroid.bases_bracket(parts) == _bracket_by_definition(matroid, parts)
 
 
 # --- identity reports ---------------------------------------------------------

@@ -18,6 +18,7 @@ from sparking import (
     parking_set_permutation,
     reduce_function,
     reduce_set,
+    sigma,
 )
 from sparking.enumeration import all_set_systems, random_set_system
 from sparking.systems import exactly_one_sets
@@ -35,6 +36,8 @@ def test_universe_rejects_bad_ids():
         Universe({0: 1})
     with pytest.raises(ValueError):
         Universe({"a": 1})
+    with pytest.raises(ValueError, match="positive integers"):
+        Universe({True: 1})                  # bool is not an element id
 
 
 def test_universe_accepts_rationals():
@@ -122,6 +125,10 @@ def test_parking_function_rejects_bad_values(u42_system):
         is_parking_function(u42_system, (0,))
     with pytest.raises(ValueError):
         is_parking_function(u42_system, (0, -1))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        is_parking_function(u42_system, (True, False))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        sigma(u42_system, (True, False))
 
 
 def test_definitional_checks_cap_family_size():
