@@ -7,18 +7,18 @@ its owning set or fixes that set with it.  ``sigma`` turns a parking
 function into a parking set by spending its values as deletion budgets;
 ``rho`` turns a parking set into a parking function by fixing exactly
 the input's elements and counting the deletions.  The object-level
-wrappers validate the input, run the sweep and translate its events into
-a ``BijectionTrace`` (deletions and fixations with global step numbers)
-so tests can replay the execution.
+wrappers validate the input by its permutation certificate, run the sweep
+and translate its events into a ``BijectionTrace`` (deletions and
+fixations with global step numbers) so tests can replay the execution.
 """
 
 from dataclasses import dataclass
 
 from .systems import (
+    VerificationError,
     _checked_function,
-    _checked_set,
-    is_parking_function,
-    is_parking_set,
+    parking_function_permutation,
+    parking_set_permutation,
 )
 
 
@@ -91,13 +91,13 @@ def sweep(masks, budget, fixed=0, events=None):
 
 
 def _traced_sweep(system, budget, fixed, what):
-    """Run the sweep on ``system``; returns its result and its events
-    translated into a trace."""
+    """Run the sweep on ``system`` for an input certified to be a ``what``;
+    returns its result and its events translated into a trace."""
     compiled = system.compiled
     events = []
     result = sweep(compiled.masks, budget, fixed, events)
     if result is None:
-        raise ValueError(f"exactly-one pool emptied mid-run: input is not a {what}")
+        raise VerificationError(f"exactly-one pool emptied mid-run on a certified {what}")
     pi, chosen, deletions, fixations = [], [], [], []
     for step, (kind, j, e) in enumerate(events, start=1):
         event = (step, j + 1, compiled.order[e.bit_length() - 1])
@@ -111,7 +111,7 @@ def _traced_sweep(system, budget, fixed, what):
                                   tuple(deletions), tuple(fixations))
 
 
-def rho(system, elements, trusted=False):
+def rho(system, elements):
     """Map a parking set to a parking function.
 
     Repeatedly takes the lightest element of the exactly-one set of the
@@ -119,23 +119,19 @@ def rho(system, elements, trusted=False):
     their owning set (incrementing that set's counter), elements inside
     it fix their owning set and retire it.  Returns the counter vector
     and the trace.
-
-    With ``trusted`` the up-front membership check is skipped; a
-    malformed input is then only caught when the exactly-one pool dries
-    up mid-run.
     """
-    chosen_input = _checked_set(system, elements)
-    if not trusted and not is_parking_set(system, chosen_input):
+    certificate = parking_set_permutation(system, elements)
+    if certificate is None:
         raise ValueError("input is not a parking set of the system")
-    # a set is only ever fixed by an input element: its cap of |A_j|
-    # deletions is never reached while it still owns a pool element
+    # the witnesses are the input set, and only they fix a set: its cap of
+    # |A_j| deletions is never reached while it still owns a pool element
     cap = [len(a) for a in system.sets]
     (counters, _), trace = _traced_sweep(
-        system, cap, system.compiled.mask_of(chosen_input), "parking set")
+        system, cap, system.compiled.mask_of(certificate.witnesses), "parking set")
     return tuple(counters), trace
 
 
-def sigma(system, values, trusted=False):
+def sigma(system, values):
     """Map a parking function to a parking set.
 
     Same sweep as ``rho``, but the input values act as per-set deletion
@@ -145,7 +141,7 @@ def sigma(system, values, trusted=False):
     the set of fixed elements and the trace.
     """
     f = _checked_function(system, values)
-    if not trusted and not is_parking_function(system, f):
+    if parking_function_permutation(system, f) is None:
         raise ValueError("input is not a parking function of the system")
     _, trace = _traced_sweep(system, f, 0, "parking function")
     return frozenset(trace.chosen), trace

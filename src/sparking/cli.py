@@ -86,11 +86,11 @@ def _cmd_enumerate(args):
 def _cmd_map(args):
     system = load_set_system(_read(args.system))
     if args.rho is not None:
-        result, trace = rho(system, args.rho, trusted=args.trusted)
+        result, trace = rho(system, args.rho)
         rendered = format_function(result)
         jsonable = list(result)
     else:
-        result, trace = sigma(system, args.sigma, trusted=args.trusted)
+        result, trace = sigma(system, args.sigma)
         rendered = format_set(result)
         jsonable = sorted(result)
     if args.json:
@@ -206,7 +206,7 @@ def u42_table():
     """The five-row pairing table of the rank-2 uniform matroid on four
     elements with parts {1,2,3} and {1,2,4}, identity weights."""
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
-    pairs = [(f, sigma(system, f, trusted=True)[0])
+    pairs = [(f, sigma(system, f)[0])
              for f in enumerate_parking_functions(system)]
     return render_pairing_table(pairs, 2, set_names=["E1", "E2"],
                                 ground=frozenset({1, 2, 3, 4}))
@@ -248,8 +248,6 @@ def build_parser():
     group.add_argument("--sigma", nargs="+", type=int, metavar="VALUE",
                        help="parking-function values; outputs the parking set")
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--trusted", action="store_true",
-                   help="skip the up-front membership validation")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_map)
 

@@ -283,7 +283,7 @@ def pool_filter(masks, pools):
             if all(pool & d for pool in pools)]
 
 
-def mask_families(k, masks):
+def mask_families(masks):
     """Both families of one bitmask system from its subfamily table:
     P as value tuples in lexicographic order, Q as masks."""
     table = subfamily_table(masks)
@@ -337,9 +337,9 @@ class ScanReport:
 def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
     """Run the roundtrip check over every generated system."""
     report = ScanReport()
-    for k, _, masks in all_mask_systems(max_k, max_universe, canonical):
+    for _, _, masks in all_mask_systems(max_k, max_universe, canonical):
         report.systems += 1
-        ps, qs = mask_families(k, masks)
+        ps, qs = mask_families(masks)
         report.members += len(ps)
         _, failures = check_roundtrip(masks, ps, qs)
         if failures:

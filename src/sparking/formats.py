@@ -1,8 +1,8 @@
 """Text and JSON formats for set systems, matroids, graphs and tables.
 
-Set-system text: first line ``k m`` (family size, universe size over ids
-1..m), an optional line ``weights w_1 .. w_m``, then k lines of element
-ids.  JSON mirror: ``{"sets": [[...], ...], "weights": {"id": w, ...}}``.
+Set-system text: first line ``k m`` (family size, ids 1..m), an optional
+line ``weights w_1 .. w_m`` (else the ids that appear weigh themselves),
+then k lines of ids.  JSON: ``{"sets": [[...], ...], "weights": {"id": w}}``.
 Matroid text: ``ground n r`` then one basis per line.  Graph text:
 ``vertices N`` then ``id u v`` per line.  Faces: one edge-id line per
 face.  Blank lines and ``#`` comments are skipped everywhere.
@@ -59,7 +59,7 @@ def parse_set_system(text):
     if k < 0 or m < 0:
         raise FormatError("k and m must be non-negative", line)
     body = lines[1:]
-    weights = {e: Fraction(e) for e in range(1, m + 1)}
+    weights = None
     if body and body[0][1].split()[0] == "weights":
         wline, wtext = body[0]
         wtokens = wtext.split()[1:]
@@ -78,7 +78,7 @@ def parse_set_system(text):
             raise FormatError(f"element ids {bad} outside 1..{m}", line)
         sets.append(frozenset(ids))
     try:
-        return SetSystem(sets, Universe(weights))
+        return SetSystem(sets, None if weights is None else Universe(weights))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -42,7 +42,8 @@ class Multigraph:
             if edge_id in seen:
                 raise ValueError(f"duplicate edge id {edge_id}")
             seen.add(edge_id)
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            if any(isinstance(x, bool) or not isinstance(x, int)
+                   or not 0 <= x < n_vertices for x in (u, v)):
                 raise ValueError(f"edge {edge_id} endpoints ({u}, {v}) out of range")
             cleaned.append((edge_id, u, v))
         self.edges = tuple(cleaned)

@@ -2,9 +2,9 @@
 
 A system is an ordered family A_1..A_k of finite sets together with a
 table of pairwise-distinct rational element weights.  This module holds
-the exactly-one operation, the parking-function / parking-set predicates
-with their greedy permutation certificates, the reduction steps that the
-mapping algorithms lean on, and the weight-rank statistic ``delta``.
+the exactly-one operation, the 2^k parking-function / parking-set test
+oracles, the greedy permutation certificates that validate all input, the
+reductions the mapping algorithms lean on, and the weight rank ``delta``.
 ``SetSystem.compiled`` is the bitmask form the mapping sweep runs on.
 
 Set indices are 1-based throughout the public API (valid indices are
@@ -18,7 +18,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-# Definitional checks enumerate all 2^k - 1 index subsets; refuse beyond this.
+# The definitional oracles and the subfamily table walk all 2^k - 1 index
+# subsets and refuse beyond this; the certificates that validate input have no cap.
 MAX_CHECK_SETS = 20
 
 
@@ -187,6 +188,9 @@ def _checked_set(system, elements):
     if len(chosen) != system.k:
         raise ValueError(
             f"expected a {system.k}-element set, got {len(chosen)} elements")
+    for e in chosen:
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ValueError(f"element ids must be positive integers, got {e!r}")
     return chosen
 
 
@@ -326,7 +330,7 @@ def reduce_function(system, values, element):
     function of the reduced system.
     """
     f = _checked_function(system, values)
-    if not is_parking_function(system, f):
+    if parking_function_permutation(system, f) is None:
         raise ValueError("values are not a parking function of the system")
     pool = exactly_one(system, range(1, system.k + 1))
     if element not in pool:
@@ -346,7 +350,7 @@ def drop_first_set(system, values):
     f = _checked_function(system, values)
     if system.k < 2:
         raise ValueError("need at least two sets to drop the first one")
-    if not is_parking_function(system, f):
+    if parking_function_permutation(system, f) is None:
         raise ValueError("values are not a parking function of the system")
     return system.with_sets(system.sets[1:]), f[1:]
 
@@ -361,7 +365,7 @@ def reduce_set(system, elements, element):
     way the result is a parking set of the reduced system.
     """
     chosen = _checked_set(system, elements)
-    if not is_parking_set(system, chosen):
+    if parking_set_permutation(system, chosen) is None:
         raise ValueError("elements are not a parking set of the system")
     pool = exactly_one(system, range(1, system.k + 1))
     if element not in pool:

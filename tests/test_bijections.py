@@ -1,17 +1,30 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import pytest
 
-from sparking import SetSystem, Universe, rho, sigma
+import sparking.bijections
+from sparking import (
+    SetSystem,
+    Universe,
+    VerificationError,
+    complete_graph,
+    drop_first_set,
+    is_parking_function,
+    is_parking_set,
+    reduce_set,
+    rho,
+    sigma,
+    star_system,
+)
 from sparking.enumeration import (
     all_set_systems,
     enumerate_parking_functions,
     enumerate_parking_sets,
     random_set_system,
 )
-from sparking.systems import exactly_one_sets
+from sparking.systems import ParkingSetCertificate, exactly_one_sets
 
 
 # --- mapped values from the worked example ------------------------------------
@@ -40,29 +53,61 @@ def test_rho_singleton_family():
     assert trace.lines() == ["DEL 1 1 5", "FIX 2 1 7"]
 
 
-def test_inputs_validated_eagerly(u42_system):
-    with pytest.raises(ValueError):
+def test_inputs_validated_eagerly(u42_system, monkeypatch):
+    with pytest.raises(ValueError, match="not a parking set"):
         rho(u42_system, {1, 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a parking function"):
         sigma(u42_system, (2, 2))
     with pytest.raises(ValueError):
         sigma(u42_system, (0,))
-
-
-def test_trusted_mode_detects_stall(u42_system):
+    # past a certificate that wrongly accepts, the sweep still stalls:
     # (2, 2) drains both working sets down to a shared pair, whose
-    # exactly-one pool is empty
-    with pytest.raises(ValueError):
-        sigma(u42_system, (2, 2), trusted=True)
-    with pytest.raises(ValueError):
-        rho(u42_system, {1, 2}, trusted=True)
+    # exactly-one pool is empty; that contradicts the theorem
+    monkeypatch.setattr(sparking.bijections, "parking_function_permutation",
+                        lambda system, values: (1, 2))
+    monkeypatch.setattr(sparking.bijections, "parking_set_permutation",
+                        lambda system, elements: ParkingSetCertificate((1, 2), (1, 2)))
+    with pytest.raises(VerificationError, match="emptied mid-run"):
+        sigma(u42_system, (2, 2))
+    with pytest.raises(VerificationError, match="emptied mid-run"):
+        rho(u42_system, {1, 2})
 
 
-def test_trusted_mode_matches_on_members(u42_system):
-    for values in enumerate_parking_functions(u42_system):
-        assert sigma(u42_system, values, trusted=True)[0] == sigma(u42_system, values)[0]
-    for chosen in enumerate_parking_sets(u42_system):
-        assert rho(u42_system, chosen, trusted=True)[0] == rho(u42_system, chosen)[0]
+def _accepts(mapping, system, argument):
+    """Whether ``mapping`` takes ``argument``; a refusal must be the
+    membership ValueError, anything else propagates."""
+    try:
+        mapping(system, argument)
+    except ValueError as exc:
+        assert "is not a parking" in str(exc)
+        return False
+    return True
+
+
+def test_validation_agrees_with_the_oracles():
+    # the certificates decide membership; the box runs one past each
+    # set size and the candidate sets take in one stray id
+    for system in chain(all_set_systems(2, 4, canonical=False), all_set_systems(3, 3)):
+        for values in product(*(range(len(a) + 1) for a in system.sets)):
+            assert _accepts(sigma, system, values) == is_parking_function(system, values)
+        stray = max(system.covered, default=0) + 1
+        for chosen in combinations(sorted(system.covered) + [stray], system.k):
+            assert _accepts(rho, system, chosen) == is_parking_set(system, chosen)
+
+
+def test_maps_run_past_the_oracle_cap():
+    system = star_system(complete_graph(22))       # k = 21 star sets
+    values = tuple(range(20, -1, -1))              # a classic parking function
+    with pytest.raises(ValueError, match="cap"):
+        is_parking_function(system, values)
+    image, _ = sigma(system, values)
+    assert rho(system, image)[0] == values
+    assert sigma(system, rho(system, image)[0])[0] == image
+    reduced, rest = drop_first_set(system, values)
+    assert reduced.k == 20 and rest == values[1:]
+    assert reduce_set(system, image, 1)[1] == image - {1}   # edge 1 = 01, private
+    with pytest.raises(ValueError, match="not a parking function"):
+        sigma(system, (1,) * 21)
 
 
 # --- trace contracts -----------------------------------------------------------
@@ -132,10 +177,10 @@ def test_empty_member_stalls_both_maps():
     assert enumerate_parking_sets(system) == []
     for values in [(0, 0), (1, 0)]:
         with pytest.raises(ValueError):
-            sigma(system, values, trusted=True)
+            sigma(system, values)
     for chosen in combinations([1, 2], 2):
         with pytest.raises(ValueError):
-            rho(system, chosen, trusted=True)
+            rho(system, chosen)
 
 
 def test_trace_contracts_randomized():
@@ -168,14 +213,14 @@ def _check_roundtrip(system):
     assert len(functions) == len(sets_)
     images = set()
     for values in functions:
-        image, _ = sigma(system, values, trusted=True)
+        image, _ = sigma(system, values)
         assert image in set(sets_)
-        assert rho(system, image, trusted=True)[0] == values
+        assert rho(system, image)[0] == values
         images.add(image)
     assert images == set(sets_)
     for chosen in sets_:
-        values, _ = rho(system, chosen, trusted=True)
-        assert sigma(system, values, trusted=True)[0] == chosen
+        values, _ = rho(system, chosen)
+        assert sigma(system, values)[0] == chosen
 
 
 def test_roundtrip_exhaustive_small():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparking.bijections
 import sparking.graphs
-from sparking import VerificationError, complete_graph, spanning_tree_bijection
+from sparking import VerificationError, complete_graph, spanning_tree_bijection, star_sets
 from sparking.cli import main
 
-from test_formats import JSON_DOCUMENTS
+from test_formats import JSON_DOCUMENTS, SET_SYSTEM_TEXTS
 
 U42 = "2 4\n1 2 3\n1 2 4\n"
 K3 = "vertices 3\n1 0 1\n2 0 2\n3 1 2\n"
@@ -72,6 +74,37 @@ def test_map_json(u42_file, capsys):
 
 def test_map_rejects_non_member(u42_file, capsys):
     assert main(["map", u42_file, "--sigma", "9", "9"]) == 2
+    assert capsys.readouterr().err == "error: input is not a parking function of the system\n"
+    assert main(["map", u42_file, "--rho", "1", "2"]) == 2
+    assert capsys.readouterr().err == "error: input is not a parking set of the system\n"
+
+
+def test_map_has_no_trusted_flag(u42_file):
+    with pytest.raises(SystemExit) as exit_:
+        main(["map", u42_file, "--sigma", "0", "0", "--trusted"])
+    assert exit_.value.code == 2
+
+
+def test_map_runs_past_the_oracle_cap(tmp_path, capsys):
+    sets = star_sets(complete_graph(22))          # k = 21
+    path = tmp_path / "star22.txt"
+    path.write_text("21 231\n" + "".join(" ".join(map(str, sorted(s))) + "\n"
+                                         for s in sets))
+    assert main(["map", str(path), "--sigma", *["0"] * 21]) == 0
+    tree = capsys.readouterr().out.strip("{}\n").split(",")
+    assert main(["map", str(path), "--rho", *tree]) == 0
+    assert capsys.readouterr().out == "(" + ", ".join(["0"] * 21) + ")\n"
+
+
+def test_map_on_a_certified_stall_exits_1(u42_file, monkeypatch, capsys):
+    # a certificate that accepts the non-member (2, 2) leaves the sweep
+    # to stall, which contradicts the theorem
+    monkeypatch.setattr(sparking.bijections, "parking_function_permutation",
+                        lambda system, values: (1, 2))
+    assert main(["map", u42_file, "--sigma", "2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failed: ")
 
 
 def test_enumerate(u42_file, capsys):
@@ -199,6 +232,20 @@ def test_malformed_json_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in result.stderr
 
 
+def test_huge_universe_header_parses_at_once(tmp_path):
+    # the header's m only bounds the ids; under the memory cap a
+    # regression that allocates per id fails fast instead of exhausting RAM
+    path = tmp_path / "huge.txt"
+    path.write_text("1 1000000000000\n1\n")
+    cap = 512 * 2 ** 20
+    result = subprocess.run(
+        [sys.executable, "-m", "sparking", "verify", str(path)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[0] == "|P|=1 |Q|=1 OK"
+
+
 @given(JSON_DOCUMENTS, st.sampled_from(["verify", "enumerate"]))
 @settings(max_examples=150, deadline=None)
 def test_cli_on_arbitrary_json_exits_with_a_known_code(tmp_path_factory, text, command):
@@ -207,5 +254,21 @@ def test_cli_on_arbitrary_json_exits_with_a_known_code(tmp_path_factory, text, c
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@given(SET_SYSTEM_TEXTS, st.sampled_from(["verify", "enumerate", "--sigma", "--rho"]),
+       st.lists(st.integers(-1, 8), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_cli_on_arbitrary_text_exits_with_a_known_code(tmp_path_factory, text, command,
+                                                       arguments):
+    path = tmp_path_factory.mktemp("fuzz") / "system.txt"
+    path.write_text(text)
+    argv = ([command, str(path)] if command in ("verify", "enumerate")
+            else ["map", str(path), command, *map(str, arguments)])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

@@ -136,10 +136,10 @@ def test_inert_universe_elements_are_immaterial(u42_system):
 
 # --- mask-level families and the shared roundtrip check -----------------------
 
-def _check_mask_system(k, masks):
+def _check_mask_system(masks):
     """The scan's mask filters find the definitional families, the
     roundtrip check passes on them, and verify_bijection pairs alike."""
-    ps, qs = mask_families(k, masks)
+    ps, qs = mask_families(masks)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = system_from_masks(masks)
@@ -156,30 +156,30 @@ def _check_mask_system(k, masks):
 
 
 def test_fast_path_agrees_with_object_path_exhaustively():
-    for k, _, masks in all_mask_systems(2, 3, canonical=False):
-        _check_mask_system(k, masks)
+    for _, _, masks in all_mask_systems(2, 3, canonical=False):
+        _check_mask_system(masks)
 
 
 def test_fast_path_agrees_on_three_set_samples():
     entries = [entry for entry in all_mask_systems(3, 4, canonical=True)]
     rng = random.Random(1)
-    for k, _, masks in rng.sample(entries, 120):
-        _check_mask_system(k, masks)
+    for _, _, masks in rng.sample(entries, 120):
+        _check_mask_system(masks)
 
 
 def test_scan_agrees_with_oracles_on_every_thousandth_system():
     # every 1000th system of the criterion-3 corpus (k <= 3, m <= 6)
     sample = islice(all_mask_systems(3, 6, canonical=False), 999, None, 1000)
     checked = 0
-    for k, _, masks in sample:
-        _check_mask_system(k, masks)
+    for _, _, masks in sample:
+        _check_mask_system(masks)
         checked += 1
     assert checked == 138
 
 
 def test_roundtrip_check_reports_failures():
     masks = (0b0111, 0b1011)             # u42: {1,2,3} and {1,2,4}
-    ps, qs = mask_families(2, masks)
+    ps, qs = mask_families(masks)
     _, failures = check_roundtrip(masks, ps[1:] + [(2, 2)], qs)
     assert failures == ["sigma((2, 2)) = a stall is not a parking set",
                         "rho(0b101) = (0, 0) is not a parking function"]

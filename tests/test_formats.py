@@ -55,6 +55,13 @@ def test_parse_set_system_errors_carry_line_numbers():
         parse_set_system("1 2\nweights 1 1\n1 2\n")  # duplicate weights
 
 
+def test_text_universe_holds_only_the_ids_that_appear():
+    # without a weights line the header's m only bounds the ids
+    assert len(parse_set_system("1 1000\n1\n").universe) == 1
+    assert parse_set_system("2 9\n1 2\n5\n").universe.elements == {1, 2, 5}
+    assert parse_set_system("1 3\nweights 3 2 1\n1\n").universe.elements == {1, 2, 3}
+
+
 def test_parse_set_system_json_mirror():
     payload = {"sets": [[1, 2, 3], [1, 2, 4]]}
     system = parse_set_system_json(json.dumps(payload))
@@ -107,6 +114,37 @@ JSON_DOCUMENTS = (PAYLOADS | JSON_VALUES).map(json.dumps) | st.text(max_size=12)
 def test_parse_set_system_json_raises_only_format_errors(text):
     try:
         parse_set_system_json(text)
+    except FormatError:
+        pass
+
+
+TOKENS = st.integers(-2, 9).map(str) | st.sampled_from(["x", "1/2", "1/0", "2.5", "-"])
+
+
+@st.composite
+def set_system_texts(draw):
+    """Near-valid text set systems: a header, maybe a weights line, and
+    set lines of mostly in-range ids."""
+    k, m = draw(st.integers(-1, 4)), draw(st.integers(-1, 7))
+    lines = [draw(st.sampled_from([f"{k} {m}", f"{k}", f"{k} {m} 1", "k m"]))]
+    if draw(st.booleans()):
+        size = max(m, 0)
+        lines.append(" ".join(["weights"] + draw(st.lists(TOKENS, min_size=size,
+                                                          max_size=size + 1))))
+    ids = st.integers(-1, m + 1).map(str) | TOKENS
+    lines += draw(st.lists(st.lists(ids, max_size=4).map(" ".join),
+                           max_size=max(k, 0) + 1))
+    return "\n".join(lines) + "\n"
+
+
+SET_SYSTEM_TEXTS = set_system_texts() | st.text(max_size=20)
+
+
+@given(SET_SYSTEM_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_parse_set_system_raises_only_format_errors(text):
+    try:
+        parse_set_system(text)
     except FormatError:
         pass
 

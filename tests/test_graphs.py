@@ -36,6 +36,10 @@ def test_multigraph_validation():
         Multigraph(0, [])
     with pytest.raises(ValueError, match="edge ids"):
         Multigraph(2, [(True, 0, 1)])           # bool is not an edge id
+    with pytest.raises(ValueError, match="out of range"):
+        Multigraph(2, [(1, True, False)])       # bools are not vertices
+    with pytest.raises(ValueError, match="out of range"):
+        Multigraph(2, [(1, 0, 1.0)])
 
 
 def test_connectivity():

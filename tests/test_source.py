@@ -19,20 +19,36 @@ ORACLES = {"enumerate_parking_functions", "enumerate_parking_sets",
            "is_parking_function", "is_parking_set"}
 
 
+def _uses(name, names):
+    """Where module ``name`` imports or names one of ``names``, outside
+    the definitions of those names themselves."""
+    found = []
+    pending = [ast.parse((Path(sparking.__file__).parent / name).read_text())]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used = {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            used = {node.attr}
+        elif isinstance(node, ast.Name):
+            used = {node.id}
+        else:
+            used = set()
+        found += [f"{name}:{node.lineno} {hit}" for hit in used & names]
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_graph_and_matroid_layers_stay_off_the_oracles():
     # their families come from the subfamily table; the exponential
     # per-candidate checks are test oracles only
-    found = []
-    for name in ("graphs.py", "matroids.py"):
-        tree = ast.parse((Path(sparking.__file__).parent / name).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = {alias.name.rpartition(".")[2] for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            elif isinstance(node, ast.Name):
-                names = {node.id}
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {used}" for used in names & ORACLES]
-    assert not found
+    assert not _uses("graphs.py", ORACLES) + _uses("matroids.py", ORACLES)
+
+
+def test_input_validation_stays_off_the_oracles():
+    # rho, sigma and the reductions validate by the polynomial
+    # certificates, which have no cap on k
+    membership = {"is_parking_function", "is_parking_set"}
+    assert not _uses("bijections.py", membership) + _uses("systems.py", membership)

@@ -18,6 +18,7 @@ from sparking import (
     parking_set_permutation,
     reduce_function,
     reduce_set,
+    rho,
     sigma,
 )
 from sparking.enumeration import all_set_systems, random_set_system
@@ -38,6 +39,16 @@ def test_universe_rejects_bad_ids():
         Universe({"a": 1})
     with pytest.raises(ValueError, match="positive integers"):
         Universe({True: 1})                  # bool is not an element id
+
+
+def test_set_inputs_reject_non_integer_ids(u42_system):
+    # True and 1.0 hash like 1, so they would pass for element 1
+    for chosen in ({True, 3}, {1.0, 3}):
+        for check in (rho, is_parking_set, parking_set_permutation):
+            with pytest.raises(ValueError, match="positive integers"):
+                check(u42_system, chosen)
+        with pytest.raises(ValueError, match="positive integers"):
+            reduce_set(u42_system, chosen, 3)
 
 
 def test_universe_accepts_rationals():
