@@ -53,16 +53,20 @@ def test_rho_singleton_family():
     assert trace.lines() == ["DEL 1 1 5", "FIX 2 1 7"]
 
 
-def test_inputs_validated_eagerly(u42_system, monkeypatch):
+def test_inputs_validated_eagerly(u42_system):
     with pytest.raises(ValueError, match="not a parking set"):
         rho(u42_system, {1, 2})
     with pytest.raises(ValueError, match="not a parking function"):
         sigma(u42_system, (2, 2))
     with pytest.raises(ValueError):
         sigma(u42_system, (0,))
-    # past a certificate that wrongly accepts, the sweep still stalls:
-    # (2, 2) drains both working sets down to a shared pair, whose
-    # exactly-one pool is empty; that contradicts the theorem
+
+
+def test_trusted_mode_detects_stall(u42_system, monkeypatch):
+    # with the membership certificate trusted even when it wrongly accepts,
+    # the sweep still stalls: (2, 2) drains both working sets down to a
+    # shared pair, whose exactly-one pool is empty; that contradicts the
+    # theorem
     monkeypatch.setattr(sparking.bijections, "parking_function_permutation",
                         lambda system, values: (1, 2))
     monkeypatch.setattr(sparking.bijections, "parking_set_permutation",
