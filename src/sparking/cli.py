@@ -54,6 +54,16 @@ def _resolve_seed(args):
     return int(os.environ.get("SPARKING_SEED", "0"))
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True))
 
@@ -253,10 +263,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="full bijection report for a system")
     p.add_argument("system", nargs="?")
-    p.add_argument("--random", type=int, metavar="N",
+    p.add_argument("--random", type=_positive_int, metavar="N",
                    help="verify N seeded random systems instead")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=4)
+    p.add_argument("--max-k", type=_positive_int, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -291,6 +301,9 @@ def main(argv=None):
         return 1
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large to process", file=sys.stderr)
         return 2
 
 

@@ -1,17 +1,16 @@
 """Enumeration of parking functions and parking sets, and the checks
 that the two mappings are inverse bijections between them.
 
-The production membership filter is the subfamily table:
-``subfamily_table`` walks the non-empty index subsets once and records
-each subset's exactly-one pool (as a mask) and its members' private-part
+The production membership filters read the subfamily table
+(``systems.subfamily_table``; ``SetSystem.table`` for a system), which
+records each subset's exactly-one pool and its members' private-part
 thresholds.  ``box_filter`` keeps the value vectors of the box that beat
 some threshold of every subset (P), and ``pool_filter`` the k-subsets
-that meet every pool (Q).  ``mask_families``, ``table_functions``,
-``table_sets`` and ``subfamily_pools`` read the matroid, graph and scan
-families off that table.  ``enumerate_parking_functions`` and
-``enumerate_parking_sets``, which test every candidate against all
-2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
-and the tests use them.
+that meet every pool (Q).  ``table_functions`` and ``table_sets`` give a
+system's families, ``mask_families`` a bare bitmask family's (the scan).
+``enumerate_parking_functions`` and ``enumerate_parking_sets``, which
+test every candidate against all 2^k - 1 subfamilies by definition, are
+the oracles: ``verify_bijection`` and the tests use them.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -28,12 +27,11 @@ from itertools import combinations, permutations, product
 
 from .bijections import sweep
 from .systems import (
-    SetSystem,
-    Universe,
     VerificationError,
-    _subset_budget,
+    _system_over,
     is_parking_function,
     is_parking_set,
+    subfamily_table,
 )
 
 
@@ -202,9 +200,7 @@ def system_from_masks(masks):
     """Object-level system matching one generator entry."""
     sets = [frozenset(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
             for mask in masks]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SetSystem(sets)
+    return _system_over(frozenset().union(*sets), sets)
 
 
 def all_set_systems(max_k, max_universe, canonical=True):
@@ -220,41 +216,16 @@ def random_set_system(rng, max_k=4, max_universe=6, shuffled_weights=False):
     sets = [frozenset(e for e in range(1, m + 1) if rng.random() < 0.6)
             for _ in range(k)]
     ids = list(range(1, m + 1))
+    weights = None
     if shuffled_weights:
         shuffled = ids[:]
         rng.shuffle(shuffled)
-        universe = Universe(dict(zip(ids, shuffled)))
-    else:
-        universe = Universe.identity(ids)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SetSystem(sets, universe)
+        weights = dict(zip(ids, shuffled))
+    return _system_over(ids, sets, weights)
 
 
 # ---------------------------------------------------------------------------
 # the subfamily table: the production membership filters
-
-def subfamily_table(masks):
-    """One pass over the non-empty index subsets of a bitmask family.
-
-    Returns one (pool, thresholds) pair per subset, in bitmask order:
-    the subset's exactly-one pool as a mask, and the pairs (j, |A_j ∩
-    pool|) of its members j (0-based).  Refuses k > ``MAX_CHECK_SETS``.
-    """
-    k = len(masks)
-    _subset_budget(k)
-    table = []
-    for imask in range(1, 1 << k):
-        selected = [j for j in range(k) if imask >> j & 1]
-        once = twice = 0
-        for j in selected:
-            a = masks[j]
-            twice |= once & a
-            once |= a
-        pool = once & ~twice
-        table.append((pool, [(j, (masks[j] & pool).bit_count()) for j in selected]))
-    return table
-
 
 def box_filter(boxes, thresholds):
     """The value tuples f of the box ``boxes``, in lexicographic order,
@@ -299,27 +270,16 @@ def table_functions(system):
         warnings.warn("family contains an empty set: no parking functions",
                       stacklevel=2)
         return []
-    table = subfamily_table(masks)
-    return box_filter([range(a.bit_count()) for a in masks], [t for _, t in table])
+    return box_filter([range(a.bit_count()) for a in masks], [t for _, t in system.table])
 
 
 def table_sets(system):
     """The parking sets of ``system`` by ``pool_filter`` over its
     subfamily table, sorted like the oracle's."""
     compiled = system.compiled
-    pools = [pool for pool, _ in subfamily_table(compiled.masks)]
+    pools = [pool for pool, _ in system.table]
     return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, pools)),
                   key=sorted)
-
-
-def subfamily_pools(sets):
-    """Each non-empty subfamily of ``sets`` as (its 1-based member
-    indices, its exactly-one set), in bitmask order, from one table."""
-    elements = tuple(frozenset().union(*sets))
-    bit = {e: 1 << b for b, e in enumerate(elements)}
-    table = subfamily_table([sum(bit[e] for e in s) for s in sets])
-    return [([j + 1 for j, _ in pairs], frozenset(e for e in elements if bit[e] & pool))
-            for pool, pairs in table]
 
 
 @dataclass

@@ -9,6 +9,7 @@ face.  Blank lines and ``#`` comments are skipped everywhere.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .graphs import Multigraph
@@ -40,9 +41,18 @@ def _ints(tokens, line, what="value"):
         raise FormatError(f"expected integer {what}s, got {tokens!r}", line) from None
 
 
+def _exact(token):
+    """``Fraction(token)``, refusing an exponent beyond the int digit limit."""
+    _, e, exponent = token.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"exponent beyond {limit} digits")
+    return Fraction(token)
+
+
 def _fraction(token, line):
     try:
-        return Fraction(token)
+        return _exact(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad weight {token!r}", line) from None
 
@@ -97,7 +107,7 @@ def _json_weight(value):
     try:
         if isinstance(value, bool):
             raise TypeError
-        return Fraction(str(value) if isinstance(value, float) else value)
+        return _exact(str(value)) if isinstance(value, (float, str)) else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise FormatError(f"bad weight {value!r}") from None
 

@@ -14,16 +14,17 @@ every non-empty set S of non-root vertices, the number of edges from
 each i in S to vertices outside S, and f must stay below one of them.
 ``is_g_parking_function`` tests one vector against the same table.  The
 star side of the equivalence comes from the star system's subfamily
-table, so the two lists are computed from different thresholds.
+table, so the two lists are computed from different thresholds.  The
+face-boundary bijection reads its cover precondition and its parking
+functions off one system's table.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .enumeration import box_filter, paired_images, subfamily_pools, table_functions
+from .enumeration import box_filter, paired_images, table_functions
 from .matroids import Matroid, PreconditionError
-from .systems import SetSystem, Universe, _index_subsets
+from .systems import _index_subsets, _system_over
 
 
 class Multigraph:
@@ -53,20 +54,15 @@ class Multigraph:
         return frozenset(e for e, _, _ in self.edges)
 
     def is_connected(self):
-        if self.n_vertices == 1:
-            return True
+        # a spanning tree needs n_vertices - 1 non-loop edges; refusing
+        # earlier keeps a huge vertex count from being allocated
+        if sum(u != v for _, u, v in self.edges) < self.n_vertices - 1:
+            return False
         parent = list(range(self.n_vertices))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for _, u, v in self.edges:
-            parent[find(u)] = find(v)
-        root = find(0)
-        return all(find(v) == root for v in range(self.n_vertices))
+            parent[_find(parent, u)] = _find(parent, v)
+        root = _find(parent, 0)
+        return all(_find(parent, v) == root for v in range(self.n_vertices))
 
     def __repr__(self):
         return f"Multigraph({self.n_vertices} vertices, {len(self.edges)} edges)"
@@ -83,17 +79,18 @@ def complete_graph(n_vertices):
     return Multigraph(n_vertices, edges)
 
 
+def _find(parent, a):
+    """Root of ``a`` in the union-find forest ``parent``, halving paths."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _spans_without_cycle(edge_list, n_vertices):
     parent = list(range(n_vertices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for _, u, v in edge_list:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -159,11 +156,7 @@ def star_sets(graph):
 
 def star_system(graph, weights=None):
     """Set system of the star sets over the full edge universe."""
-    universe = (Universe(weights) if weights is not None
-                else Universe.identity(graph.edge_ids))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SetSystem(star_sets(graph), universe)
+    return _system_over(graph.edge_ids, star_sets(graph), weights)
 
 
 def _degree_table(graph):
@@ -244,19 +237,14 @@ def classic_correspondence(n):
     parking function exactly when shifting it down by one gives a
     degree-defined parking function of the complete graph on n+1
     vertices."""
-    graph = complete_graph(n + 1)
-    for f in product(range(1, n + 1), repeat=n):
-        shifted = tuple(v - 1 for v in f)
-        if _is_classic(f, n) != is_g_parking_function(graph, shifted):
-            return False
-    return True
+    box = [range(n)] * n
+    degree_defined = box_filter(box, _degree_table(complete_graph(n + 1)))
+    return degree_defined == [f for f in product(*box) if _is_classic([v + 1 for v in f], n)]
 
 
 def spanning_tree_bijection(graph, weights=None):
     """Map every star-set parking function to its parking set and verify
     those are exactly the spanning trees, each hit once."""
-    if not graph.is_connected():
-        raise ValueError("graph is not connected")
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
     return paired_images(star_system(graph, weights), spanning_trees(graph))
@@ -286,17 +274,12 @@ def face_boundary_bijection(graph, boundaries, weights=None):
     for i, b in enumerate(boundaries, start=1):
         if not matroid.is_union_of_circuits(b):
             raise PreconditionError(f"face set {i} is not a union of cycles")
-    for subset, pool in subfamily_pools(boundaries):
-        if matroid.rank(pool) == len(pool):
+    system = _system_over(graph.edge_ids, boundaries, weights)
+    for pool, members in system.table:
+        if matroid.rank(system.compiled.elements_of(pool)) == pool.bit_count():
             raise PreconditionError(
-                f"exactly-one set of face sets {subset} contains no cycle")
-    universe = (Universe(weights) if weights is not None
-                else Universe.identity(graph.edge_ids))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        system = SetSystem(boundaries, universe)
-    ground = graph.edge_ids
-    return paired_images(system, spanning_trees(graph), lambda image: ground - image)
+                f"exactly-one set of face sets {[j + 1 for j, _ in members]} contains no cycle")
+    return paired_images(system, matroid.bases, lambda image: matroid.ground - image)
 
 
 def random_connected_multigraph(rng, max_vertices=5, max_edges=8):

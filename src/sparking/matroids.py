@@ -6,22 +6,18 @@ parking-set/basis identities and the induced bijections on desk-scale
 instances.  The cocircuit-side operations are implemented by delegating
 to the circuit side on the dual matroid and complementing the outcome;
 the bracket operator itself (bases containing a given exactly-one set)
-is only ever used on the circuit side.
+is only ever used on the circuit side.  Each public call builds one
+system of the parts; its subfamily table (``SetSystem.table``) gives the
+parking sets, the bracket, the full-cover check and the parking functions
+that the theorem bijection pairs.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .enumeration import paired_images, subfamily_pools, table_sets
-from .systems import (
-    SetSystem,
-    Universe,
-    VerificationError,
-    _index_subsets,
-    exactly_one_sets,
-)
+from .enumeration import paired_images, table_sets
+from .systems import VerificationError, _index_subsets, _system_over, exactly_one_sets
 
 
 class PreconditionError(ValueError):
@@ -108,8 +104,7 @@ class Matroid:
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        pools = {pool for _, pool in subfamily_pools(_checked_parts(self, parts))}
-        return [b for b in self.bases if any(pool <= b for pool in pools)]
+        return _bracket(self, _system_over(self.ground, _checked_parts(self, parts)))
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
@@ -143,12 +138,10 @@ def _checked_parts(matroid, parts):
     return parts
 
 
-def _system_over(matroid, parts, weights=None):
-    universe = (Universe(weights) if weights is not None
-                else Universe.identity(matroid.ground))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SetSystem(parts, universe)
+def _bracket(matroid, system):
+    """``bases_bracket`` of the parts of ``system``, off its subfamily table."""
+    pools = {system.compiled.elements_of(pool) for pool, _ in system.table}
+    return [b for b in matroid.bases if any(pool <= b for pool in pools)]
 
 
 @dataclass
@@ -189,14 +182,11 @@ def parking_sets_vs_bases_circuit_side(matroid, parts):
     outside the bracket are exactly the complements of the parking sets
     (intersected with the bases when not all parts are circuit-unions)."""
     parts = _checked_parts(matroid, parts)
-    expected = len(matroid.ground) - matroid.rank_value
-    if len(parts) != expected:
-        raise PreconditionError(
-            f"circuit side needs k = |ground| - rank = {expected}, got k = {len(parts)}")
+    _checked_count(matroid, parts, "circuit")
     unions = all(matroid.is_union_of_circuits(p) for p in parts)
-    q_family = table_sets(_system_over(matroid, parts))
-    complements = frozenset(matroid.ground - d for d in q_family)
-    prime = frozenset(matroid.bases_prime(parts))
+    system = _system_over(matroid.ground, parts)
+    complements = frozenset(matroid.ground - d for d in table_sets(system))
+    prime = frozenset(matroid.bases).difference(_bracket(matroid, system))
     if unions:
         rhs, form = complements, "complements-of-parking-sets"
     else:
@@ -208,10 +198,7 @@ def parking_sets_vs_bases_cocircuit_side(matroid, parts):
     """Check the cocircuit-side identity: with k = rank, delegate to the
     circuit side of the dual matroid and complement both sides back."""
     parts = _checked_parts(matroid, parts)
-    if len(parts) != matroid.rank_value:
-        raise PreconditionError(
-            f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {len(parts)}")
-    inner = parking_sets_vs_bases_circuit_side(matroid.dual, parts)
+    inner = parking_sets_vs_bases_circuit_side(_checked_count(matroid, parts, "cocircuit"), parts)
     lhs = frozenset(matroid.ground - b for b in inner.lhs)
     rhs = frozenset(matroid.ground - b for b in inner.rhs)
     form = ("parking-sets" if inner.parts_are_unions
@@ -220,28 +207,36 @@ def parking_sets_vs_bases_cocircuit_side(matroid, parts):
                                inner.parts_are_unions, lhs, rhs)
 
 
-def _checked_side(matroid, parts, side):
-    """Validate the bijection hypotheses; returns the target basis family."""
+def _checked_count(matroid, parts, side):
+    """Check the side's part count; returns the matroid (or dual) it reads."""
     k = len(parts)
     if side == "circuit":
         expected = len(matroid.ground) - matroid.rank_value
         if k != expected:
             raise PreconditionError(
                 f"circuit side needs k = |ground| - rank = {expected}, got k = {k}")
-        for i, p in enumerate(parts, start=1):
-            if not matroid.is_union_of_circuits(p):
-                raise PreconditionError(f"part {i} is not a union of circuits")
-        return frozenset(matroid.bases_prime(parts))
+        return matroid
     if side == "cocircuit":
         if k != matroid.rank_value:
             raise PreconditionError(
                 f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {k}")
-        for i, p in enumerate(parts, start=1):
-            if not matroid.dual.is_union_of_circuits(p):
-                raise PreconditionError(f"part {i} is not a union of cocircuits")
-        return frozenset(matroid.ground - b
-                         for b in matroid.dual.bases_prime(parts))
+        return matroid.dual
     raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
+
+
+def _checked_side(matroid, parts, side, weights=None):
+    """Validate the bijection hypotheses; returns the parts system, the
+    target basis family read off its table, and the map from a mapped
+    parking set to its basis (None for the identity)."""
+    reference = _checked_count(matroid, parts, side)
+    for i, p in enumerate(parts, start=1):
+        if not reference.is_union_of_circuits(p):
+            raise PreconditionError(f"part {i} is not a union of {side}s")
+    system = _system_over(matroid.ground, parts, weights)
+    survivors = frozenset(reference.bases).difference(_bracket(reference, system))
+    if side == "circuit":
+        return system, survivors, lambda image: matroid.ground - image
+    return system, frozenset(matroid.ground - b for b in survivors), None
 
 
 def theorem_bijection(matroid, parts, side, weights=None):
@@ -252,11 +247,7 @@ def theorem_bijection(matroid, parts, side, weights=None):
     image is verified to be exactly the surviving-basis family, hit
     injectively.
     """
-    parts = _checked_parts(matroid, parts)
-    target = _checked_side(matroid, parts, side)
-    system = _system_over(matroid, parts, weights)
-    complement = (lambda image: matroid.ground - image) if side == "circuit" else None
-    return paired_images(system, target, complement)
+    return paired_images(*_checked_side(matroid, _checked_parts(matroid, parts), side, weights))
 
 
 def corollary_full_cover(matroid, parts, side):
@@ -265,15 +256,16 @@ def corollary_full_cover(matroid, parts, side):
     that case the surviving-basis family is everything and the theorem
     bijection covers all bases, which is verified as well."""
     parts = _checked_parts(matroid, parts)
-    target = _checked_side(matroid, parts, side)
+    system, target, transform = _checked_side(matroid, parts, side)
     reference = matroid if side == "circuit" else matroid.dual
     # no subfamily's exactly-one set is independent (circuit-free)
-    cover = all(reference.rank(pool) < len(pool) for _, pool in subfamily_pools(parts))
+    cover = all(reference.rank(system.compiled.elements_of(pool)) < pool.bit_count()
+                for pool, _ in system.table)
     if cover != (target == frozenset(matroid.bases)):
         raise VerificationError(
             "full cover disagrees with the surviving-basis family")
     if cover:
-        theorem_bijection(matroid, parts, side)
+        paired_images(system, target, transform)
     return cover
 
 

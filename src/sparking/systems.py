@@ -5,7 +5,10 @@ table of pairwise-distinct rational element weights.  This module holds
 the exactly-one operation, the 2^k parking-function / parking-set test
 oracles, the greedy permutation certificates that validate all input, the
 reductions the mapping algorithms lean on, and the weight rank ``delta``.
-``SetSystem.compiled`` is the bitmask form the mapping sweep runs on.
+``SetSystem.compiled`` is the one bitmask form of a family: the mapping
+sweep and the certificates' greedy peel run on it, and its
+``subfamily_table``, cached as ``SetSystem.table``, holds the exactly-one
+pool of every subfamily for the enumeration, matroid and graph layers.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -129,6 +132,11 @@ class SetSystem:
         bit = {e: 1 << b for b, e in enumerate(order)}
         return Compiled(order, bit, tuple(sum(bit[e] for e in s) for s in self._sets))
 
+    @cached_property
+    def table(self):
+        """``subfamily_table`` of the compiled family, built on first use."""
+        return subfamily_table(self.compiled.masks)
+
     def with_sets(self, sets):
         """A system over the same universe with a different family."""
         with warnings.catch_warnings():
@@ -162,6 +170,13 @@ class Compiled(NamedTuple):
 
     def elements_of(self, mask):
         return frozenset(e for b, e in enumerate(self.order) if mask >> b & 1)
+
+
+def _system_over(ground, sets, weights=None):
+    """A system of ``sets`` weighted by ``weights``, else by identity weights
+    on ``ground``, without the empty-member warning."""
+    universe = Universe(weights) if weights is not None else Universe.identity(ground)
+    return SetSystem((), universe).with_sets(sets)
 
 
 def _checked_indices(system, indices):
@@ -198,6 +213,28 @@ def _subset_budget(k):
     if k > MAX_CHECK_SETS:
         raise ValueError(
             f"definitional check walks 2^k subsets; k={k} exceeds the cap of {MAX_CHECK_SETS}")
+
+
+def subfamily_table(masks):
+    """One pass over the non-empty index subsets of a bitmask family.
+
+    Returns one (pool, thresholds) pair per subset, in bitmask order:
+    the subset's exactly-one pool as a mask, and the pairs (j, |A_j ∩
+    pool|) of its members j (0-based).  Refuses k > ``MAX_CHECK_SETS``.
+    """
+    k = len(masks)
+    _subset_budget(k)
+    table = []
+    for imask in range(1, 1 << k):
+        selected = [j for j in range(k) if imask >> j & 1]
+        once = twice = 0
+        for j in selected:
+            a = masks[j]
+            twice |= once & a
+            once |= a
+        pool = once & ~twice
+        table.append((pool, [(j, (masks[j] & pool).bit_count()) for j in selected]))
+    return table
 
 
 def _index_subsets(k):
@@ -241,6 +278,30 @@ def is_parking_function(system, values):
     return True
 
 
+def _peel(system, values, within=-1):
+    """The greedy peel of both certificates, over ``system.compiled``: the
+    (j, A_j & pool & within) steps of the smallest eligible remaining
+    0-based indices j, or None when no remaining index is eligible."""
+    masks = system.compiled.masks
+    remaining = list(range(len(masks)))
+    steps = []
+    while remaining:
+        once = twice = 0
+        for j in remaining:
+            twice |= once & masks[j]
+            once |= masks[j]
+        pool = once & ~twice
+        for j in remaining:
+            hit = masks[j] & pool & within
+            if hit.bit_count() > values[j]:
+                break
+        else:
+            return None
+        steps.append((j, hit))
+        remaining.remove(j)
+    return steps
+
+
 def parking_function_permutation(system, values):
     """Greedy permutation certificate for parking-function membership.
 
@@ -250,18 +311,8 @@ def parking_function_permutation(system, values):
     a tuple of 1-based indices, or None when no certificate exists
     (equivalently, when the values are not a parking function).
     """
-    f = _checked_function(system, values)
-    remaining = list(range(1, system.k + 1))
-    pi = []
-    while remaining:
-        pool = exactly_one_sets(system.set_at(i) for i in remaining)
-        pick = next((i for i in remaining
-                     if len(system.set_at(i) & pool) > f[i - 1]), None)
-        if pick is None:
-            return None
-        pi.append(pick)
-        remaining.remove(pick)
-    return tuple(pi)
+    steps = _peel(system, _checked_function(system, values))
+    return None if steps is None else tuple(j + 1 for j, _ in steps)
 
 
 def is_parking_set(system, elements):
@@ -292,30 +343,26 @@ def parking_set_permutation(system, elements):
     witnesses are the single element contributed at each step, or None
     when the elements are not a parking set.
     """
-    chosen = _checked_set(system, elements)
-    remaining = list(range(1, system.k + 1))
-    steps = []
-    while remaining:
-        pool = exactly_one_sets(system.set_at(i) for i in remaining)
-        for i in remaining:
-            hit = chosen & system.set_at(i) & pool
-            if hit:
-                break
-        else:
-            return None
-        steps.append((i, hit))
-        remaining.remove(i)
+    compiled = system.compiled
+    steps = _peel(system, [0] * system.k,
+                  compiled.mask_of(_checked_set(system, elements)))
+    if steps is None:
+        return None
     # a completed certificate picks up exactly one element per step,
     # because the k step contributions are pairwise disjoint inside a
     # k-element set
-    if any(len(hit) != 1 for _, hit in steps):
+    if any(hit.bit_count() != 1 for _, hit in steps):
         raise VerificationError("parking-set certificate took a step with several elements")
-    return ParkingSetCertificate(tuple(i for i, _ in steps),
-                                 tuple(next(iter(hit)) for _, hit in steps))
+    return ParkingSetCertificate(tuple(j + 1 for j, _ in steps),
+                                 tuple(compiled.order[hit.bit_length() - 1]
+                                       for _, hit in steps))
 
 
 def _owner_index(system, element):
-    """Index of the unique set containing an exactly-one element."""
+    """Index of the unique set containing ``element``, which must belong
+    to exactly one set of the whole family."""
+    if element not in exactly_one(system, range(1, system.k + 1)):
+        raise ValueError(f"element {element} does not belong to exactly one set")
     return next(i for i in range(1, system.k + 1)
                 if element in system.set_at(i))
 
@@ -332,9 +379,6 @@ def reduce_function(system, values, element):
     f = _checked_function(system, values)
     if parking_function_permutation(system, f) is None:
         raise ValueError("values are not a parking function of the system")
-    pool = exactly_one(system, range(1, system.k + 1))
-    if element not in pool:
-        raise ValueError(f"element {element} does not belong to exactly one set")
     s = _owner_index(system, element)
     if f[s - 1] == 0:
         raise ValueError(f"value for set {s} is already zero")
@@ -367,9 +411,6 @@ def reduce_set(system, elements, element):
     chosen = _checked_set(system, elements)
     if parking_set_permutation(system, chosen) is None:
         raise ValueError("elements are not a parking set of the system")
-    pool = exactly_one(system, range(1, system.k + 1))
-    if element not in pool:
-        raise ValueError(f"element {element} does not belong to exactly one set")
     s = _owner_index(system, element)
     if element not in chosen:
         new_sets = list(system.sets)

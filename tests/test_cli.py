@@ -246,6 +246,49 @@ def test_huge_universe_header_parses_at_once(tmp_path):
     assert result.stdout.splitlines()[0] == "|P|=1 |Q|=1 OK"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("graph", "vertices 100000000000\n", "error: graph is not connected\n"),
+    ("matroid", "ground 100000000000 1\n1\n",
+     "error: out of memory; the input is too large to process\n"),
+])
+def test_huge_headers_exit_2_without_traceback(tmp_path, command, text, message):
+    # under the memory cap a header that allocates per vertex or per
+    # element fails fast instead of exhausting RAM
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    parts = tmp_path / "parts.txt"
+    parts.write_text("1 1\n1\n")
+    extra = {"graph": [], "matroid": ["--parts", str(parts), "--side", "circuit"]}[command]
+    cap = 512 * 2 ** 20
+    result = subprocess.run(
+        [sys.executable, "-m", "sparking", command, str(path), *extra],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (result.returncode, result.stderr) == (2, message)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.txt", "1 1\nweights 1e100000000\n1\n"),
+    ("huge.json", '{"sets": [[1]], "weights": {"1": "1e100000000"}}'),
+])
+def test_huge_weight_exponent_is_refused_at_once(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    result = subprocess.run([sys.executable, "-m", "sparking", "verify", str(path)],
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stderr.endswith("bad weight '1e100000000'\n")
+
+
+@pytest.mark.parametrize("argv", [["--random", "-3"], ["--random", "0"],
+                                  ["--random", "2", "--max-k", "0"]])
+def test_verify_counts_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", *argv])
+    assert exit_.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 @given(JSON_DOCUMENTS, st.sampled_from(["verify", "enumerate"]))
 @settings(max_examples=150, deadline=None)
 def test_cli_on_arbitrary_json_exits_with_a_known_code(tmp_path_factory, text, command):

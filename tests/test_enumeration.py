@@ -17,13 +17,12 @@ from sparking.enumeration import (
     mask_families,
     pool_filter,
     random_set_system,
-    subfamily_pools,
-    subfamily_table,
     system_from_masks,
     table_functions,
     table_sets,
 )
 from sparking.graphs import complete_graph, star_system
+from sparking.systems import subfamily_table
 
 
 def test_enumerate_functions_u42(u42_system):
@@ -212,7 +211,7 @@ def _check_table(system):
     assert ([str(w.message) for w in table_warnings]
             == [str(w.message) for w in oracle_warnings])
     compiled = system.compiled
-    table = subfamily_table(compiled.masks)
+    table = system.table
     if all(compiled.masks):
         boxes = [range(a.bit_count()) for a in compiled.masks]
         assert box_filter(boxes, [t for _, t in table]) == functions
@@ -242,7 +241,10 @@ def test_table_lists_subsets_in_bitmask_order():
     table = subfamily_table((0b0111, 0b1011))          # u42: {1,2,3} and {1,2,4}
     assert table == [(0b0111, [(0, 3)]), (0b1011, [(1, 3)]),
                      (0b1100, [(0, 1), (1, 1)])]
-    assert subfamily_pools([{1, 2, 3}, {1, 2, 4}]) == [
+    system = SetSystem([{1, 2, 3}, {1, 2, 4}])
+    assert system.table == table
+    assert [([j + 1 for j, _ in pairs], system.compiled.elements_of(pool))
+            for pool, pairs in system.table] == [
         ([1], frozenset({1, 2, 3})), ([2], frozenset({1, 2, 4})),
         ([1, 2], frozenset({3, 4}))]
 

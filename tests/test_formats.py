@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparking import SetSystem, Universe
 from sparking.formats import (
     FormatError,
     format_function,
@@ -38,6 +39,8 @@ def test_parse_set_system_with_weights():
     system = parse_set_system(text)
     assert system.weight(2) == Fraction(1, 2)
     assert system.weight(3) == Fraction(1, 4)
+    system = parse_set_system("1 3\nweights 1e3 2.5e-1 -3/7\n1 2 3\n")
+    assert [system.weight(e) for e in (1, 2, 3)] == [1000, Fraction(1, 4), Fraction(-3, 7)]
 
 
 def test_parse_set_system_errors_carry_line_numbers():
@@ -71,6 +74,9 @@ def test_parse_set_system_json_mirror():
     system = parse_set_system_json(json.dumps(weighted))
     assert system.weight(1) == Fraction(1, 3)
     assert system.weight(2) == Fraction(1, 2)
+    weighted = {"sets": [[1, 2, 3]], "weights": {"1": "1e3", "2": "2.5e-1", "3": "-3/7"}}
+    system = parse_set_system_json(json.dumps(weighted))
+    assert [system.weight(e) for e in (1, 2, 3)] == [1000, Fraction(1, 4), Fraction(-3, 7)]
 
     with pytest.raises(FormatError):
         parse_set_system_json("[1, 2]")
@@ -147,6 +153,51 @@ def test_parse_set_system_raises_only_format_errors(text):
         parse_set_system(text)
     except FormatError:
         pass
+
+
+@st.composite
+def weighted_systems(draw):
+    """A system over ids 1..m with identity, shuffled, or distinct
+    (possibly negative) Fraction weights; identity systems weigh only the
+    ids that appear, as a file without weights gives them.  Members are
+    non-empty: a text set line cannot be empty."""
+    m = draw(st.integers(1, 6))
+    sets = draw(st.lists(st.frozensets(st.integers(1, m), min_size=1), max_size=4))
+    kind = draw(st.sampled_from(["identity", "shuffled", "fraction"]))
+    if kind == "identity":
+        return SetSystem(sets), m
+    if kind == "shuffled":
+        weights = draw(st.permutations(range(1, m + 1)))
+    else:
+        weights = draw(st.lists(st.fractions(-50, 50, max_denominator=12),
+                                min_size=m, max_size=m, unique=True))
+    return SetSystem(sets, Universe(dict(zip(range(1, m + 1), weights)))), m
+
+
+def _as_text(system, m):
+    lines = [f"{system.k} {m}"]
+    if system.universe != Universe.identity(system.covered):
+        lines.append(" ".join(["weights"] + [str(system.weight(e)) for e in range(1, m + 1)]))
+    return "\n".join(lines + [" ".join(map(str, sorted(s))) for s in system.sets]) + "\n"
+
+
+def _as_json(system, m):
+    payload = {"sets": [sorted(s) for s in system.sets]}
+    if system.universe != Universe.identity(system.covered):
+        weights = (system.weight(e) for e in range(1, m + 1))
+        payload["weights"] = {str(e): w.numerator if w.denominator == 1 else str(w)
+                              for e, w in enumerate(weights, start=1)}
+    return json.dumps(payload)
+
+
+@given(weighted_systems())
+@settings(max_examples=200, deadline=None)
+def test_text_and_json_forms_round_trip(drawn):
+    system, m = drawn
+    for text in (_as_text(system, m), _as_json(system, m)):
+        loaded = load_set_system(text)
+        assert loaded == system
+        assert loaded.universe == system.universe
 
 
 def test_load_set_system_dispatches():

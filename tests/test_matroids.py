@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import sparking.systems
 from sparking import (
     Matroid,
     PreconditionError,
@@ -14,7 +15,14 @@ from sparking import (
     theorem_bijection,
     uniform_matroid,
 )
-from sparking.graphs import complete_graph, graphic_matroid, star_sets
+from sparking.graphs import (
+    complete_graph,
+    face_boundary_bijection,
+    g_parking_equals_s_parking,
+    graphic_matroid,
+    spanning_tree_bijection,
+    star_sets,
+)
 from sparking.systems import exactly_one_sets
 
 
@@ -299,3 +307,31 @@ def test_search_finds_star_family_for_graphs(k3):
 
 def test_search_finds_nothing_for_u42(u42):
     assert find_cocircuit_cover_families(u42, limit=3) == []
+
+
+def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles):
+    builds = []
+    table = sparking.systems.subfamily_table
+    monkeypatch.setattr(sparking.systems, "subfamily_table",
+                        lambda masks: builds.append(masks) or table(masks))
+    u42 = uniform_matroid(4, 2)
+    k5 = complete_graph(5)
+    graphic, stars = graphic_matroid(k5), star_sets(k5)
+    calls = {
+        "identity, circuit side": lambda: parking_sets_vs_bases_circuit_side(
+            u42, [{1, 2, 3}, {1, 2, 4}]),
+        "identity, cocircuit side": lambda: parking_sets_vs_bases_cocircuit_side(
+            u42, [{1, 2, 3}, {1, 2, 4}]),
+        "theorem_bijection": lambda: theorem_bijection(graphic, stars, "cocircuit"),
+        "corollary_full_cover": lambda: corollary_full_cover(graphic, stars, "cocircuit"),
+        "face_boundary_bijection": lambda: face_boundary_bijection(
+            two_triangles, [{1, 2, 3}, {3, 4, 5}]),
+        "spanning_tree_bijection": lambda: spanning_tree_bijection(k5),
+        "g_parking_equals_s_parking": lambda: g_parking_equals_s_parking(k5),
+    }
+    counts = {}
+    for name, call in calls.items():
+        builds.clear()
+        call()
+        counts[name] = len(builds)
+    assert counts == dict.fromkeys(calls, 1)

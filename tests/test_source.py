@@ -52,3 +52,26 @@ def test_input_validation_stays_off_the_oracles():
     # certificates, which have no cap on k
     membership = {"is_parking_function", "is_parking_set"}
     assert not _uses("bijections.py", membership) + _uses("systems.py", membership)
+
+
+def test_graph_and_matroid_layers_read_the_system_table():
+    # each public call threads one parts system, whose cached table feeds
+    # every family, bracket and cover check of that call
+    names = {"subfamily_table", "subfamily_pools"}
+    assert not _uses("graphs.py", names) + _uses("matroids.py", names)
+
+
+def test_certificates_peel_the_compiled_masks():
+    # the certificates, and every module-level helper they reach, stay off
+    # the frozenset fold
+    tree = ast.parse((Path(sparking.__file__).parent / "systems.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pending = ["parking_function_permutation", "parking_set_permutation"]
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending += [node.id for node in ast.walk(defs[name])
+                        if isinstance(node, ast.Name) and node.id in defs]
+    assert "exactly_one_sets" not in reached

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparking import (
+    ParkingSetCertificate,
     SetSystem,
     Universe,
     delta,
@@ -213,6 +214,40 @@ def test_parking_function_downward_closed(data):
         return
     lower = tuple(data.draw(st.integers(0, v)) for v in values)
     assert is_parking_function(system, lower)
+
+
+def _set_level_peel(system, values, within):
+    """Reference greedy certificate over frozensets: the smallest
+    remaining index whose private part inside ``within`` beats its value."""
+    remaining = list(range(1, system.k + 1))
+    steps = []
+    while remaining:
+        pool = exactly_one_sets(system.set_at(i) for i in remaining)
+        hits = [(i, system.set_at(i) & pool & within) for i in remaining]
+        step = next(((i, hit) for i, hit in hits if len(hit) > values[i - 1]), None)
+        if step is None:
+            return None
+        steps.append(step)
+        remaining.remove(step[0])
+    return steps
+
+
+def test_certificates_match_a_set_level_peel():
+    # pi and witnesses, not just the verdicts, under two weight orders:
+    # every value vector one past each |A_i|, every k-subset plus a stray id
+    for base in all_set_systems(3, 4, canonical=False):
+        ids = sorted(base.covered)
+        for universe in (None, Universe({e: -e for e in ids})):
+            system = base if universe is None else SetSystem(base.sets, universe)
+            for values in product(*(range(len(a) + 1) for a in system.sets)):
+                steps = _set_level_peel(system, values, system.covered)
+                assert parking_function_permutation(system, values) == (
+                    None if steps is None else tuple(i for i, _ in steps))
+            for combo in combinations(ids + [99], system.k):
+                steps = _set_level_peel(system, [0] * system.k, frozenset(combo))
+                assert parking_set_permutation(system, combo) == (
+                    None if steps is None else ParkingSetCertificate(
+                        tuple(i for i, _ in steps), tuple(min(hit) for _, hit in steps)))
 
 
 # --- parking-set predicate and certificate ----------------------------------
