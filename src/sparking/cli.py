@@ -32,7 +32,7 @@ from .formats import (
     parse_multigraph,
     render_pairing_table,
 )
-from .graphs import face_boundary_bijection, graphic_matroid, spanning_tree_bijection, spanning_trees
+from .graphs import face_boundary_bijection, graphic_matroid, spanning_tree_bijection
 from .matroids import (
     PreconditionError,
     corollary_full_cover,
@@ -199,12 +199,11 @@ def _cmd_graph(args):
     else:
         pairs = spanning_tree_bijection(graph)
         label = "star sets"
-    trees = spanning_trees(graph)
     if args.json:
-        _emit_json({"side": label, "spanning_trees": len(trees),
+        _emit_json({"side": label, "spanning_trees": len(pairs),
                     "pairs": [[list(f), sorted(t)] for f, t in pairs]})
         return 0
-    print(f"spanning trees: {len(trees)}")
+    print(f"spanning trees: {len(pairs)}")  # the pairs hit each tree once
     print(f"parking functions ({label}): {len(pairs)}")
     for f, tree in pairs:
         print(f"{format_function(f)} -> tree {format_set(tree)}")

@@ -200,12 +200,11 @@ def format_function(values):
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-def render_pairing_table(pairs, k, set_names=None, ground=None,
-                         final_header="E-sigma(f)"):
+def render_pairing_table(pairs, k, set_names=None, ground=None):
     """Aligned table: one row per function with its per-set values, the
     mapped set, and optionally its complement inside ``ground``."""
     names = list(set_names) if set_names else [f"A{i}" for i in range(1, k + 1)]
-    header = [""] + names + ["sigma(f)"] + ([final_header] if ground is not None else [])
+    header = [""] + names + ["sigma(f)"] + (["E-sigma(f)"] if ground is not None else [])
     rows = [header]
     for row_number, (values, image) in enumerate(pairs, start=1):
         row = [f"f{row_number}"] + [str(v) for v in values] + [format_set(image)]

@@ -8,23 +8,20 @@ degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
 caller drive the circuit-side variant.
 
-G-parking functions are enumerated by ``box_filter`` over the value box
-0 <= f[i-1] < deg(i): the degree table (``_degree_table``) holds, for
-every non-empty set S of non-root vertices, the number of edges from
-each i in S to vertices outside S, and f must stay below one of them.
-``is_g_parking_function`` tests one vector against the same table.  The
-star side of the equivalence comes from the star system's subfamily
-table, so the two lists are computed from different thresholds.  The
-face-boundary bijection reads its cover precondition and its parking
-functions off one system's table.
+G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
+Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
+no cap on the vertex count; the star side of the equivalence comes from
+the star system's subfamily table, so the two lists are computed by
+different algorithms.  The face-boundary bijection reads its cover
+precondition and its parking functions off one system's table.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .enumeration import box_filter, paired_images, table_functions
+from .enumeration import paired_images, table_functions
 from .matroids import Matroid, PreconditionError
-from .systems import _index_subsets, _system_over
+from .systems import _system_over
 
 
 class Multigraph:
@@ -159,21 +156,27 @@ def star_system(graph, weights=None):
     return _system_over(graph.edge_ids, star_sets(graph), weights)
 
 
-def _degree_table(graph):
-    """For every non-empty set S of non-root vertices, in bitmask order:
-    the pairs (i - 1, edges joining i to vertices outside S) for i in S.
-    Loops never leave S; parallel edges count with multiplicity."""
-    vertices = range(graph.n_vertices)
-    joins = [[0] * graph.n_vertices for _ in vertices]
+def _burner(graph):
+    """Dhar's burning test: ``burns(values)`` says whether a fire lit at
+    root 0 burns every vertex; vertex i catches once more than values[i-1]
+    of its edges lead to burnt ones (parallels count, loops never do)."""
+    neighbours = [[] for _ in range(graph.n_vertices)]
     for _, u, v in graph.edges:
         if u != v:
-            joins[u][v] += 1
-            joins[v][u] += 1
-    table = []
-    for subset in _index_subsets(graph.n_vertices - 1):
-        outside = [w for w in vertices if w not in subset]
-        table.append([(i - 1, sum(joins[i][w] for w in outside)) for i in subset])
-    return table
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+
+    def burns(values):
+        heat = [0] * graph.n_vertices
+        burnt = [0]
+        for u in burnt:  # grows as vertices catch; each catches once
+            for w in neighbours[u]:
+                heat[w] += 1
+                if w and heat[w] == values[w - 1] + 1:
+                    burnt.append(w)
+        return len(burnt) == graph.n_vertices
+
+    return burns
 
 
 def is_g_parking_function(graph, values):
@@ -190,8 +193,7 @@ def is_g_parking_function(graph, values):
         raise ValueError(f"expected {n} values, got {len(values)}")
     if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in values):
         raise ValueError("values must be non-negative integers")
-    # the box holding just this vector
-    return bool(box_filter([(v,) for v in values], _degree_table(graph)))
+    return _burner(graph)(values)
 
 
 @dataclass
@@ -214,8 +216,7 @@ def g_parking_equals_s_parking(graph):
     parking functions over the same value box and report equality."""
     system = star_system(graph)
     star_defined = table_functions(system)
-    boxes = [range(len(s)) for s in system.sets]
-    degree_defined = box_filter(boxes, _degree_table(graph))
+    degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
 
 
@@ -237,9 +238,9 @@ def classic_correspondence(n):
     parking function exactly when shifting it down by one gives a
     degree-defined parking function of the complete graph on n+1
     vertices."""
-    box = [range(n)] * n
-    degree_defined = box_filter(box, _degree_table(complete_graph(n + 1)))
-    return degree_defined == [f for f in product(*box) if _is_classic([v + 1 for v in f], n)]
+    burns = _burner(complete_graph(n + 1))
+    return all(burns(f) == _is_classic([v + 1 for v in f], n)
+               for f in product(range(n), repeat=n))
 
 
 def spanning_tree_bijection(graph, weights=None):

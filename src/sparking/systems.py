@@ -212,7 +212,7 @@ def _checked_set(system, elements):
 def _subset_budget(k):
     if k > MAX_CHECK_SETS:
         raise ValueError(
-            f"definitional check walks 2^k subsets; k={k} exceeds the cap of {MAX_CHECK_SETS}")
+            f"too large: k={k} sets; walking all 2^k subfamilies is capped at k={MAX_CHECK_SETS}")
 
 
 def subfamily_table(masks):

@@ -200,6 +200,45 @@ def test_graph_face_precondition(k3_file, tmp_path):
     assert main(["graph", k3_file, "--faces", str(faces)]) == 3
 
 
+# the triangles through vertex 0 of K5 (edge ids in endpoint order)
+K5_CONE_FACES = "1 2 5\n1 3 6\n1 4 7\n2 3 8\n2 4 9\n3 4 10\n"
+
+
+@pytest.mark.parametrize("faces", [None, K5_CONE_FACES], ids=["stars", "faces"])
+def test_graph_enumerates_the_spanning_trees_once(faces, tmp_path, capsys):
+    # counted by code object, so a call through any imported name is seen
+    code = sparking.graphs.spanning_trees.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    path = tmp_path / "k5.txt"
+    path.write_text("vertices 5\n" + "".join(
+        f"{e} {u} {v}\n" for e, u, v in complete_graph(5).edges))
+    argv = ["graph", str(path)]
+    if faces:
+        (tmp_path / "faces.txt").write_text(faces)
+        argv += ["--faces", str(tmp_path / "faces.txt")]
+    sys.setprofile(profile)
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("spanning trees: 125\nparking functions")
+
+
+def test_k_beyond_the_cap_is_refused_as_too_large(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("21 1\n" + "1\n" * 21)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: too large")
+    assert "line" not in err
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["enumerate", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -20,8 +21,7 @@ from sparking import (
     star_sets,
     star_system,
 )
-from sparking.enumeration import box_filter, enumerate_parking_functions, enumerate_parking_sets
-from sparking.graphs import _degree_table
+from sparking.enumeration import enumerate_parking_functions, enumerate_parking_sets
 from sparking.matroids import corollary_full_cover
 
 
@@ -178,12 +178,36 @@ def test_degree_table_filter_matches_the_definition():
         # one past each degree, so vectors off the star box are tried too
         boxes = [range(len(star) + 1) for star in star_sets(g)]
         expected = [f for f in product(*boxes) if _g_parking_by_definition(g, f)]
-        assert box_filter(boxes, _degree_table(g)) == expected
         assert [f for f in product(*boxes) if is_g_parking_function(g, f)] == expected
         report = g_parking_equals_s_parking(g)
+        assert report.degree_defined == expected
         assert report.equal
         assert report.degree_defined == [f for f in expected
                                           if all(v < len(b) - 1 for v, b in zip(f, boxes))]
+
+
+def test_burning_matches_the_definition_on_random_multigraphs():
+    rng = random.Random(6)
+    graphs = [random_connected_multigraph(rng) for _ in range(150)]
+    assert any(u == v for g in graphs for _, u, v in g.edges)           # loops
+    assert any(len({(min(u, v), max(u, v)) for _, u, v in g.edges if u != v})
+               < sum(u != v for _, u, v in g.edges) for g in graphs)   # parallels
+    tried = 0
+    for g in graphs:
+        for f in product(range(4), repeat=g.n_vertices - 1):
+            assert is_g_parking_function(g, f) == _g_parking_by_definition(g, f), (g.edges, f)
+            tried += 1
+    assert tried > 10_000
+
+
+def test_burning_needs_no_subset_walk():
+    # a walk over the 2^24 sets of non-root vertices would take minutes
+    k25 = complete_graph(25)
+    start = time.perf_counter()
+    assert is_g_parking_function(k25, tuple(range(24)))
+    assert not is_g_parking_function(k25, (24,) + tuple(range(23)))
+    assert not is_g_parking_function(k25, (23,) * 24)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_g_parking_equals_s_parking_k3(k3):

@@ -61,6 +61,12 @@ def test_graph_and_matroid_layers_read_the_system_table():
     assert not _uses("graphs.py", names) + _uses("matroids.py", names)
 
 
+def test_graph_layer_walks_no_subsets():
+    # G-parking functions burn on the graph itself, and the star side reads
+    # its system's cached table; graphs.py walks no subsets of its own
+    assert not _uses("graphs.py", {"_index_subsets", "box_filter", "subfamily_table"})
+
+
 def test_certificates_peel_the_compiled_masks():
     # the certificates, and every module-level helper they reach, stay off
     # the frozenset fold
