@@ -15,12 +15,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .enumeration import (
-    enumerate_parking_functions,
-    enumerate_parking_sets,
-    random_set_system,
-    verify_bijection,
-)
+from .enumeration import random_set_system, table_functions, table_sets, verify_bijection
 from .bijections import rho, sigma
 from .formats import (
     FormatError,
@@ -33,14 +28,7 @@ from .formats import (
     render_pairing_table,
 )
 from .graphs import face_boundary_bijection, graphic_matroid, spanning_tree_bijection
-from .matroids import (
-    PreconditionError,
-    corollary_full_cover,
-    parking_sets_vs_bases_circuit_side,
-    parking_sets_vs_bases_cocircuit_side,
-    theorem_bijection,
-    uniform_matroid,
-)
+from .matroids import PreconditionError, _checked_side, uniform_matroid
 from .systems import SetSystem, VerificationError
 
 
@@ -70,26 +58,19 @@ def _emit_json(payload):
 
 def _cmd_enumerate(args):
     system = load_set_system(_read(args.system))
-    want_functions = args.which in ("functions", "both")
-    want_sets = args.which in ("sets", "both")
-    payload = {}
-    if want_functions:
-        payload["functions"] = enumerate_parking_functions(system)
-    if want_sets:
-        payload["sets"] = enumerate_parking_sets(system)
+    families = {}
+    if args.which in ("functions", "both"):
+        families["functions"] = [list(f) for f in table_functions(system)]
+    if args.which in ("sets", "both"):
+        families["sets"] = [sorted(d) for d in table_sets(system)]
     if args.json:
-        _emit_json({key: [list(f) for f in value] if key == "functions"
-                    else [sorted(d) for d in value]
-                    for key, value in payload.items()})
+        _emit_json(families)
         return 0
-    if want_functions:
-        print(f"functions ({len(payload['functions'])}):")
-        for f in payload["functions"]:
-            print(format_function(f))
-    if want_sets:
-        print(f"sets ({len(payload['sets'])}):")
-        for d in payload["sets"]:
-            print(format_set(d))
+    render = {"functions": format_function, "sets": format_set}
+    for key, members in families.items():
+        print(f"{key} ({len(members)}):")
+        for member in members:
+            print(render[key](member))
     return 0
 
 
@@ -163,14 +144,9 @@ def _load_matroid(source):
 
 def _cmd_matroid(args):
     matroid = _load_matroid(args.matroid)
-    parts_system = load_set_system(_read(args.parts))
-    parts = parts_system.sets
-    if args.side == "circuit":
-        report = parking_sets_vs_bases_circuit_side(matroid, parts)
-    else:
-        report = parking_sets_vs_bases_cocircuit_side(matroid, parts)
-    pairs = theorem_bijection(matroid, parts, args.side)
-    cover = corollary_full_cover(matroid, parts, args.side)
+    parts = load_set_system(_read(args.parts)).sets
+    side = _checked_side(matroid, parts, args.side)
+    report, pairs, cover = side.identity(), side.theorem(), side.cover()
     if args.json:
         _emit_json({"identity": report.to_jsonable(),
                     "pairs": [[list(f), sorted(b)] for f, b in pairs],
@@ -216,7 +192,7 @@ def u42_table():
     elements with parts {1,2,3} and {1,2,4}, identity weights."""
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
     pairs = [(f, sigma(system, f)[0])
-             for f in enumerate_parking_functions(system)]
+             for f in table_functions(system)]
     return render_pairing_table(pairs, 2, set_names=["E1", "E2"],
                                 ground=frozenset({1, 2, 3, 4}))
 

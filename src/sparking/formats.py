@@ -69,17 +69,21 @@ def parse_set_system(text):
     if k < 0 or m < 0:
         raise FormatError("k and m must be non-negative", line)
     body = lines[1:]
-    weights = None
+    universe = None
     if body and body[0][1].split()[0] == "weights":
         wline, wtext = body[0]
         wtokens = wtext.split()[1:]
         if len(wtokens) != m:
             raise FormatError(f"expected {m} weights, got {len(wtokens)}", wline)
         weights = {e: _fraction(t, wline) for e, t in enumerate(wtokens, start=1)}
+        try:
+            universe = Universe(weights)
+        except ValueError as exc:
+            raise FormatError(str(exc), wline) from exc
         body = body[1:]
     if len(body) != k:
         raise FormatError(f"expected {k} set lines, found {len(body)}",
-                          body[k][0] if len(body) > k else None)
+                          body[k][0] if len(body) > k else line)
     sets = []
     for line, content in body:
         ids = _ints(content.split(), line, "element id")
@@ -87,10 +91,7 @@ def parse_set_system(text):
         if bad:
             raise FormatError(f"element ids {bad} outside 1..{m}", line)
         sets.append(frozenset(ids))
-    try:
-        return SetSystem(sets, None if weights is None else Universe(weights))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return SetSystem(sets, universe)
 
 
 def _json_int(value, what):

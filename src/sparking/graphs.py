@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .enumeration import paired_images, table_functions
-from .matroids import Matroid, PreconditionError
+from .matroids import Matroid, PreconditionError, _independent_row
 from .systems import _system_over
 
 
@@ -137,7 +137,7 @@ def deletion_contraction_count(graph):
 def graphic_matroid(graph):
     """Matroid on the edge ids whose bases are the spanning trees; loops
     live in the ground set but in no basis."""
-    return Matroid(graph.edge_ids, spanning_trees(graph))
+    return Matroid._by_construction(graph.edge_ids, spanning_trees(graph))
 
 
 def star_sets(graph):
@@ -276,10 +276,10 @@ def face_boundary_bijection(graph, boundaries, weights=None):
         if not matroid.is_union_of_circuits(b):
             raise PreconditionError(f"face set {i} is not a union of cycles")
     system = _system_over(graph.edge_ids, boundaries, weights)
-    for pool, members in system.table:
-        if matroid.rank(system.compiled.elements_of(pool)) == pool.bit_count():
-            raise PreconditionError(
-                f"exactly-one set of face sets {[j + 1 for j, _ in members]} contains no cycle")
+    row = _independent_row(system, matroid)
+    if row is not None:
+        raise PreconditionError(
+            f"exactly-one set of face sets {[j + 1 for j, _ in row[1]]} contains no cycle")
     return paired_images(system, matroid.bases, lambda image: matroid.ground - image)
 
 

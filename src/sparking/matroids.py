@@ -3,21 +3,20 @@
 Rank, circuits, cocircuits and duality all derive from the basis list by
 brute force, which is the point: everything here exists to verify the
 parking-set/basis identities and the induced bijections on desk-scale
-instances.  The cocircuit-side operations are implemented by delegating
-to the circuit side on the dual matroid and complementing the outcome;
-the bracket operator itself (bases containing a given exactly-one set)
-is only ever used on the circuit side.  Each public call builds one
-system of the parts; its subfamily table (``SetSystem.table``) gives the
-parking sets, the bracket, the full-cover check and the parking functions
-that the theorem bijection pairs.
+instances.  A side of the theorem is computed once per call by
+``_checked_side``: one system of the parts, whose subfamily table
+(``SetSystem.table``) gives the parking sets, the bracket on the
+reference matroid (the dual on the cocircuit side), the full-cover check
+and the parking functions that the theorem bijection pairs.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .enumeration import paired_images, table_sets
-from .systems import VerificationError, _index_subsets, _system_over, exactly_one_sets
+from .systems import SetSystem, VerificationError, _system_over
 
 
 class PreconditionError(ValueError):
@@ -28,11 +27,25 @@ class Matroid:
     """Finite matroid over positive-integer ground elements.
 
     The basis list is deduplicated and kept in a deterministic order.
-    Construction checks that all bases share one cardinality and that
-    the basis-exchange axiom holds.
+    ``Matroid(...)``, and so every matroid file, checks that the bases lie
+    in the ground set, share one cardinality and satisfy the
+    basis-exchange axiom.  ``uniform_matroid``, ``graphic_matroid`` and
+    ``dual`` are matroids by construction and skip the O(B²·r²) exchange
+    check, keeping the others.
     """
 
     def __init__(self, ground, bases):
+        self._store(ground, bases)
+        self._check_exchange()
+
+    @classmethod
+    def _by_construction(cls, ground, bases):
+        """A matroid whose bases satisfy exchange by construction."""
+        matroid = cls.__new__(cls)
+        matroid._store(ground, bases)
+        return matroid
+
+    def _store(self, ground, bases):
         self.ground = frozenset(ground)
         unique = {frozenset(b) for b in bases}
         if not unique:
@@ -45,7 +58,6 @@ class Matroid:
         if len(cardinalities) != 1:
             raise ValueError("all bases must have the same cardinality")
         self.rank_value = cardinalities.pop()
-        self._check_exchange()
 
     def _check_exchange(self):
         pool = set(self.bases)
@@ -80,7 +92,7 @@ class Matroid:
     @cached_property
     def dual(self):
         """Matroid whose bases are the complements of this one's."""
-        return Matroid(self.ground, [self.ground - b for b in self.bases])
+        return Matroid._by_construction(self.ground, [self.ground - b for b in self.bases])
 
     @cached_property
     def cocircuits(self):
@@ -127,7 +139,7 @@ def uniform_matroid(n, r):
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     ground = range(1, n + 1)
-    return Matroid(ground, [frozenset(c) for c in combinations(ground, r)])
+    return Matroid._by_construction(ground, [frozenset(c) for c in combinations(ground, r)])
 
 
 def _checked_parts(matroid, parts):
@@ -177,66 +189,95 @@ class BasesIdentityReport:
         }
 
 
-def parking_sets_vs_bases_circuit_side(matroid, parts):
-    """Check the circuit-side identity: with k = |E| - rank, the bases
-    outside the bracket are exactly the complements of the parking sets
-    (intersected with the bases when not all parts are circuit-unions)."""
+_FORMS = {"circuit": ("complements-of-parking-sets", "bases-and-complements"),
+          "cocircuit": ("parking-sets", "bases-and-parking-sets")}
+
+
+class _Side(NamedTuple):
+    """One side of the theorem for one parts family, from ``_checked_side``."""
+    matroid: Matroid
+    name: str            # "circuit" or "cocircuit"
+    system: SetSystem    # the parts, weighted
+    reference: Matroid   # ``matroid``, or its dual on the cocircuit side
+    target: frozenset    # the surviving bases of ``matroid``
+    transform: object    # mapped parking set -> its basis
+    non_union: object    # index of the first part not a union of circuits of reference, or None
+
+    def identity(self):
+        """The identity report: the surviving bases against the mapped
+        parking sets, intersected with the bases unless all parts are unions."""
+        unions = self.non_union is None
+        rhs = frozenset(map(self.transform, table_sets(self.system)))
+        if not unions:
+            rhs &= frozenset(self.matroid.bases)
+        return BasesIdentityReport(self.name, _FORMS[self.name][not unions],
+                                   self.system.sets, unions, self.target, rhs)
+
+    def theorem(self):
+        """The theorem bijection's pairs, checked against the surviving
+        bases; refuses a part that is not a union."""
+        if self.non_union is not None:
+            raise PreconditionError(f"part {self.non_union} is not a union of {self.name}s")
+        return paired_images(self.system, self.target, self.transform)
+
+    def cover(self):
+        """Whether no exactly-one set is independent in the reference,
+        checked against the surviving bases (call after ``theorem``)."""
+        cover = _independent_row(self.system, self.reference) is None
+        if cover != (self.target == frozenset(self.matroid.bases)):
+            raise VerificationError(
+                "full cover disagrees with the surviving-basis family")
+        return cover
+
+
+def _checked_side(matroid, parts, side, weights=None):
+    """Check the side's part count and compute the side once.  The
+    surviving bases avoid the reference's bracket, complemented back on
+    the cocircuit side."""
     parts = _checked_parts(matroid, parts)
-    _checked_count(matroid, parts, "circuit")
-    unions = all(matroid.is_union_of_circuits(p) for p in parts)
-    system = _system_over(matroid.ground, parts)
-    complements = frozenset(matroid.ground - d for d in table_sets(system))
-    prime = frozenset(matroid.bases).difference(_bracket(matroid, system))
-    if unions:
-        rhs, form = complements, "complements-of-parking-sets"
-    else:
-        rhs, form = complements & frozenset(matroid.bases), "bases-and-complements"
-    return BasesIdentityReport("circuit", form, parts, unions, prime, rhs)
-
-
-def parking_sets_vs_bases_cocircuit_side(matroid, parts):
-    """Check the cocircuit-side identity: with k = rank, delegate to the
-    circuit side of the dual matroid and complement both sides back."""
-    parts = _checked_parts(matroid, parts)
-    inner = parking_sets_vs_bases_circuit_side(_checked_count(matroid, parts, "cocircuit"), parts)
-    lhs = frozenset(matroid.ground - b for b in inner.lhs)
-    rhs = frozenset(matroid.ground - b for b in inner.rhs)
-    form = ("parking-sets" if inner.parts_are_unions
-            else "bases-and-parking-sets")
-    return BasesIdentityReport("cocircuit", form, parts,
-                               inner.parts_are_unions, lhs, rhs)
-
-
-def _checked_count(matroid, parts, side):
-    """Check the side's part count; returns the matroid (or dual) it reads."""
     k = len(parts)
     if side == "circuit":
         expected = len(matroid.ground) - matroid.rank_value
         if k != expected:
             raise PreconditionError(
                 f"circuit side needs k = |ground| - rank = {expected}, got k = {k}")
-        return matroid
-    if side == "cocircuit":
+        reference, transform = matroid, lambda image: matroid.ground - image
+    elif side == "cocircuit":
         if k != matroid.rank_value:
             raise PreconditionError(
                 f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {k}")
-        return matroid.dual
-    raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
-
-
-def _checked_side(matroid, parts, side, weights=None):
-    """Validate the bijection hypotheses; returns the parts system, the
-    target basis family read off its table, and the map from a mapped
-    parking set to its basis (None for the identity)."""
-    reference = _checked_count(matroid, parts, side)
-    for i, p in enumerate(parts, start=1):
-        if not reference.is_union_of_circuits(p):
-            raise PreconditionError(f"part {i} is not a union of {side}s")
+        reference, transform = matroid.dual, lambda image: image
+    else:
+        raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
+    non_union = next((i for i, p in enumerate(parts, start=1)
+                      if not reference.is_union_of_circuits(p)), None)
     system = _system_over(matroid.ground, parts, weights)
     survivors = frozenset(reference.bases).difference(_bracket(reference, system))
-    if side == "circuit":
-        return system, survivors, lambda image: matroid.ground - image
-    return system, frozenset(matroid.ground - b for b in survivors), None
+    if side == "cocircuit":
+        survivors = frozenset(matroid.ground - b for b in survivors)
+    return _Side(matroid, side, system, reference, survivors, transform, non_union)
+
+
+def _independent_row(system, reference):
+    """The first row of ``system.table`` whose exactly-one set is
+    independent (circuit-free) in ``reference``, or None."""
+    elements_of = system.compiled.elements_of
+    return next((row for row in system.table
+                 if reference.rank(elements_of(row[0])) == row[0].bit_count()), None)
+
+
+def parking_sets_vs_bases_circuit_side(matroid, parts):
+    """Check the circuit-side identity: with k = |E| - rank, the bases
+    outside the bracket are exactly the complements of the parking sets
+    (intersected with the bases when not all parts are circuit-unions)."""
+    return _checked_side(matroid, parts, "circuit").identity()
+
+
+def parking_sets_vs_bases_cocircuit_side(matroid, parts):
+    """Check the cocircuit-side identity: with k = rank, the bases meeting
+    every exactly-one set are exactly the parking sets (intersected with
+    the bases when not all parts are cocircuit-unions)."""
+    return _checked_side(matroid, parts, "cocircuit").identity()
 
 
 def theorem_bijection(matroid, parts, side, weights=None):
@@ -247,7 +288,7 @@ def theorem_bijection(matroid, parts, side, weights=None):
     image is verified to be exactly the surviving-basis family, hit
     injectively.
     """
-    return paired_images(*_checked_side(matroid, _checked_parts(matroid, parts), side, weights))
+    return _checked_side(matroid, parts, side, weights).theorem()
 
 
 def corollary_full_cover(matroid, parts, side):
@@ -255,18 +296,9 @@ def corollary_full_cover(matroid, parts, side):
     dependent (contains a circuit, or a cocircuit via the dual).  In
     that case the surviving-basis family is everything and the theorem
     bijection covers all bases, which is verified as well."""
-    parts = _checked_parts(matroid, parts)
-    system, target, transform = _checked_side(matroid, parts, side)
-    reference = matroid if side == "circuit" else matroid.dual
-    # no subfamily's exactly-one set is independent (circuit-free)
-    cover = all(reference.rank(system.compiled.elements_of(pool)) < pool.bit_count()
-                for pool, _ in system.table)
-    if cover != (target == frozenset(matroid.bases)):
-        raise VerificationError(
-            "full cover disagrees with the surviving-basis family")
-    if cover:
-        paired_images(system, target, transform)
-    return cover
+    checked = _checked_side(matroid, parts, side)
+    checked.theorem()
+    return checked.cover()
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +335,6 @@ def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
     results = []
     nodes = 0
 
-    def dependent(pool):
-        return dual.rank(pool) < len(pool)
-
     def extend(prefix, start):
         nonlocal nodes
         if len(results) >= limit or nodes > max_nodes:
@@ -317,18 +346,8 @@ def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
             nodes += 1
             if nodes > max_nodes:
                 return
-            part = candidates[idx]
-            extended = prefix + [part]
-            last = len(extended)
-            ok = True
-            for subset in _index_subsets(last):
-                if last not in subset:
-                    continue      # checked when the earlier prefix grew
-                pool = exactly_one_sets(extended[i - 1] for i in subset)
-                if not dependent(pool):
-                    ok = False
-                    break
-            if ok:
+            extended = prefix + [candidates[idx]]
+            if _independent_row(_system_over(matroid.ground, extended), dual) is None:
                 extend(extended, idx + 1)
             if len(results) >= limit:
                 return

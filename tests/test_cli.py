@@ -1,15 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparking
 import sparking.bijections
 import sparking.graphs
 from sparking import VerificationError, complete_graph, spanning_tree_bijection, star_sets
@@ -20,6 +23,14 @@ from test_formats import JSON_DOCUMENTS, SET_SYSTEM_TEXTS
 U42 = "2 4\n1 2 3\n1 2 4\n"
 K3 = "vertices 3\n1 0 1\n2 0 2\n3 1 2\n"
 K4 = "vertices 4\n1 0 1\n2 0 2\n3 0 3\n4 1 2\n5 1 3\n6 2 3\n"
+
+
+def _run_cli(*argv, **kwargs):
+    """``python -m sparking`` in a child process that imports the same
+    source as this one, whatever PYTHONPATH the suite was started with."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sparking.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "sparking", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 @pytest.fixture
@@ -239,6 +250,17 @@ def test_k_beyond_the_cap_is_refused_as_too_large(tmp_path, capsys):
     assert "line" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 3\n1 2\n", "error: line 1: expected 2 set lines, found 1\n"),
+    ("1 2\nweights 1 1\n1\n", "error: line 2: element weights must be pairwise distinct\n"),
+], ids=["set-count", "weights"])
+def test_count_and_weight_errors_name_a_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["enumerate", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -252,9 +274,7 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
 
 
 def test_module_entry_point(u42_file):
-    result = subprocess.run(
-        [sys.executable, "-m", "sparking", "map", u42_file, "--sigma", "1", "0"],
-        capture_output=True, text=True)
+    result = _run_cli("map", u42_file, "--sigma", "1", "0")
     assert result.returncode == 0
     assert result.stdout == "{1,4}\n"
 
@@ -264,8 +284,7 @@ def test_module_entry_point(u42_file):
 def test_malformed_json_exits_2_without_traceback(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    result = subprocess.run([sys.executable, "-m", "sparking", "verify", str(path)],
-                            capture_output=True, text=True)
+    result = _run_cli("verify", str(path))
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
@@ -277,10 +296,8 @@ def test_huge_universe_header_parses_at_once(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("1 1000000000000\n1\n")
     cap = 512 * 2 ** 20
-    result = subprocess.run(
-        [sys.executable, "-m", "sparking", "verify", str(path)],
-        capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    result = _run_cli("verify", str(path), timeout=60,
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines()[0] == "|P|=1 |Q|=1 OK"
 
@@ -299,10 +316,8 @@ def test_huge_headers_exit_2_without_traceback(tmp_path, command, text, message)
     parts.write_text("1 1\n1\n")
     extra = {"graph": [], "matroid": ["--parts", str(parts), "--side", "circuit"]}[command]
     cap = 512 * 2 ** 20
-    result = subprocess.run(
-        [sys.executable, "-m", "sparking", command, str(path), *extra],
-        capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    result = _run_cli(command, str(path), *extra, timeout=60,
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert (result.returncode, result.stderr) == (2, message)
 
 
@@ -313,8 +328,7 @@ def test_huge_headers_exit_2_without_traceback(tmp_path, command, text, message)
 def test_huge_weight_exponent_is_refused_at_once(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
-    result = subprocess.run([sys.executable, "-m", "sparking", "verify", str(path)],
-                            capture_output=True, text=True, timeout=30)
+    result = _run_cli("verify", str(path), timeout=30)
     assert result.returncode == 2
     assert result.stderr.endswith("bad weight '1e100000000'\n")
 
@@ -354,3 +368,20 @@ def test_cli_on_arbitrary_text_exits_with_a_known_code(tmp_path_factory, text, c
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_matroid_on_the_k6_stars_runs_at_once(tmp_path):
+    # the graphic matroid and its dual are matroids by construction: no
+    # O(B^2 r^2) exchange check on their 1,296 bases
+    k6 = complete_graph(6)
+    graph, parts = tmp_path / "k6.txt", tmp_path / "stars.txt"
+    graph.write_text("vertices 6\n" + "".join(f"{e} {u} {v}\n" for e, u, v in k6.edges))
+    parts.write_text("5 15\n" + "".join(" ".join(map(str, sorted(s))) + "\n"
+                                         for s in star_sets(k6)))
+    result = _run_cli("matroid", f"graphic:{graph}", "--parts", str(parts),
+                      "--side", "cocircuit", timeout=15)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[:4] == [
+        "side: cocircuit", "form: parking-sets",
+        "surviving bases: 1296  parking expression: 1296  identity OK", "full cover: yes"]
+    assert len(result.stdout.splitlines()) == 4 + 1 + 1296

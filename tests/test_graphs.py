@@ -309,6 +309,16 @@ def test_face_bijection_names_bad_face(two_triangles):
         face_boundary_bijection(two_triangles, [{1, 2, 3}, {3, 4}])
 
 
+@pytest.mark.parametrize("faces", [[{1, 2, 3}, {1, 2, 3}], [{1, 2, 3}, {1, 2, 3, 4, 5}]],
+                         ids=["empty", "forest"])
+def test_face_bijection_names_a_cycle_free_exactly_one_set(two_triangles, faces):
+    # both faces are unions of cycles, but the exactly-one set of the pair
+    # (empty, or the forest {4, 5}) contains none
+    with pytest.raises(PreconditionError,
+                       match=r"exactly-one set of face sets \[1, 2\] contains no cycle"):
+        face_boundary_bijection(two_triangles, faces)
+
+
 def test_face_bijection_loop_circuit():
     looped_tree = Multigraph(2, [(1, 0, 1), (2, 1, 1)])
     pairs = face_boundary_bijection(looped_tree, [{2}])

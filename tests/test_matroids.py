@@ -23,6 +23,7 @@ from sparking.graphs import (
     spanning_tree_bijection,
     star_sets,
 )
+from sparking.cli import main
 from sparking.systems import exactly_one_sets
 
 
@@ -251,6 +252,8 @@ def test_full_cover(u42, k3):
     matroid = graphic_matroid(k3)
     assert corollary_full_cover(matroid, star_sets(k3), "cocircuit") is True
     assert corollary_full_cover(u42, [{1, 2, 3}, {1, 2, 4}], "circuit") is False
+    # repeated parts: their exactly-one set is empty, hence independent
+    assert corollary_full_cover(u42, [{1, 2, 3}, {1, 2, 3}], "circuit") is False
     single_circuit = uniform_matroid(3, 2)
     assert corollary_full_cover(single_circuit, [{1, 2, 3}], "circuit") is True
 
@@ -273,6 +276,37 @@ def test_intersection_identity_arbitrary_parts_small_uniform():
                             for _ in range(120)])
             for parts in tuples:
                 assert parking_sets_vs_bases_circuit_side(matroid, parts).equal
+
+
+def _cocircuit_side_by_definition(matroid, parts):
+    """(lhs, rhs, parts are unions) of the cocircuit-side identity, from
+    the definitions: cocircuits are the minimal sets meeting every basis."""
+    ground, bases = matroid.ground, set(matroid.bases)
+    pools = [exactly_one_sets(p for j, p in enumerate(parts) if imask >> j & 1)
+             for imask in range(1, 1 << len(parts))]
+    meeting = [s for s in _subsets(ground) if s and all(s & b for b in bases)]
+    cocircuits = [s for s in meeting if not any(t < s for t in meeting)]
+    unions = all(frozenset().union(*(c for c in cocircuits if c <= p)) == p for p in parts)
+    parking = {s for s in _subsets(ground) if len(s) == len(parts)
+               and all(s & pool for pool in pools)}
+    lhs = {b for b in bases if all(b & pool for pool in pools)}
+    return lhs, parking if unions else parking & bases, unions
+
+
+def test_cocircuit_identity_matches_the_definition_on_uniform_matroids():
+    rng = random.Random(5)
+    for n in range(0, 6):
+        pool = list(_subsets(range(1, n + 1)))
+        for r in range(n + 1):
+            matroid = uniform_matroid(n, r)
+            tuples = (list(product(pool, repeat=r)) if len(pool) ** r <= 600
+                      else [tuple(rng.choice(pool) for _ in range(r)) for _ in range(120)])
+            for parts in tuples:
+                report = parking_sets_vs_bases_cocircuit_side(matroid, parts)
+                lhs, rhs, unions = _cocircuit_side_by_definition(matroid, parts)
+                assert (report.lhs, report.rhs, report.parts_are_unions) == (lhs, rhs, unions)
+                assert report.form == ("parking-sets" if unions else "bases-and-parking-sets")
+                assert report.equal
 
 
 def test_union_identity_circuit_union_parts(u42):
@@ -309,7 +343,12 @@ def test_search_finds_nothing_for_u42(u42):
     assert find_cocircuit_cover_families(u42, limit=3) == []
 
 
-def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles):
+def _lines(rows):
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles, tmp_path,
+                                                     capsys):
     builds = []
     table = sparking.systems.subfamily_table
     monkeypatch.setattr(sparking.systems, "subfamily_table",
@@ -317,6 +356,9 @@ def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles)
     u42 = uniform_matroid(4, 2)
     k5 = complete_graph(5)
     graphic, stars = graphic_matroid(k5), star_sets(k5)
+    (tmp_path / "u42.txt").write_text("2 4\n1 2 3\n1 2 4\n")
+    (tmp_path / "k5.txt").write_text("vertices 5\n" + _lines(k5.edges))
+    (tmp_path / "stars.txt").write_text("4 10\n" + _lines(sorted(s) for s in stars))
     calls = {
         "identity, circuit side": lambda: parking_sets_vs_bases_circuit_side(
             u42, [{1, 2, 3}, {1, 2, 4}]),
@@ -328,6 +370,12 @@ def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles)
             two_triangles, [{1, 2, 3}, {3, 4, 5}]),
         "spanning_tree_bijection": lambda: spanning_tree_bijection(k5),
         "g_parking_equals_s_parking": lambda: g_parking_equals_s_parking(k5),
+        "sparking matroid, circuit side": lambda: main(
+            ["matroid", "uniform:4:2", "--parts", str(tmp_path / "u42.txt"),
+             "--side", "circuit"]),
+        "sparking matroid, cocircuit side": lambda: main(
+            ["matroid", f"graphic:{tmp_path / 'k5.txt'}", "--parts", str(tmp_path / "stars.txt"),
+             "--side", "cocircuit"]),
     }
     counts = {}
     for name, call in calls.items():
@@ -335,3 +383,23 @@ def test_each_public_call_builds_one_subfamily_table(monkeypatch, two_triangles)
         call()
         counts[name] = len(builds)
     assert counts == dict.fromkeys(calls, 1)
+    assert "surviving bases: 125  parking expression: 125  identity OK" in capsys.readouterr().out
+
+
+def test_derived_matroids_skip_the_exchange_check(monkeypatch, tmp_path, capsys):
+    calls = []
+    check = Matroid._check_exchange
+    monkeypatch.setattr(Matroid, "_check_exchange", lambda self: calls.append(self) or check(self))
+    graphic = graphic_matroid(complete_graph(4))
+    derived = [uniform_matroid(4, 2), graphic, graphic.dual, uniform_matroid(5, 2).dual]
+    assert all(m.dual.dual == m for m in derived)
+    assert calls == []
+    with pytest.raises(ValueError, match="basis exchange fails"):
+        Matroid({1, 2, 3, 4}, [{1, 2}, {3, 4}])
+    assert len(calls) == 1
+    (tmp_path / "bad.txt").write_text("ground 4 2\n1 2\n3 4\n")
+    (tmp_path / "u42.txt").write_text("2 4\n1 2 3\n1 2 4\n")
+    assert main(["matroid", str(tmp_path / "bad.txt"), "--parts", str(tmp_path / "u42.txt"),
+                 "--side", "circuit"]) == 2
+    assert capsys.readouterr().err.startswith("error: basis exchange fails")
+    assert len(calls) == 2

@@ -42,9 +42,9 @@ def _uses(name, names):
 
 
 def test_graph_and_matroid_layers_stay_off_the_oracles():
-    # their families come from the subfamily table; the exponential
-    # per-candidate checks are test oracles only
-    assert not _uses("graphs.py", ORACLES) + _uses("matroids.py", ORACLES)
+    # their families, and the CLI's, come from the subfamily table; the
+    # exponential per-candidate checks are test oracles only
+    assert not sum((_uses(name, ORACLES) for name in ("graphs.py", "matroids.py", "cli.py")), [])
 
 
 def test_input_validation_stays_off_the_oracles():
@@ -62,9 +62,11 @@ def test_graph_and_matroid_layers_read_the_system_table():
 
 
 def test_graph_layer_walks_no_subsets():
-    # G-parking functions burn on the graph itself, and the star side reads
-    # its system's cached table; graphs.py walks no subsets of its own
-    assert not _uses("graphs.py", {"_index_subsets", "box_filter", "subfamily_table"})
+    # G-parking functions burn on the graph itself, and the star side, the
+    # matroid sides and the cover search read their systems' cached tables;
+    # neither module walks subsets of its own
+    names = {"_index_subsets", "exactly_one_sets", "box_filter", "subfamily_table"}
+    assert not _uses("graphs.py", names) + _uses("matroids.py", names)
 
 
 def test_certificates_peel_the_compiled_masks():
