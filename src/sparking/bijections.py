@@ -6,7 +6,9 @@ the exactly-one pool of the still-active sets and either deletes it from
 its owning set or fixes that set with it.  ``sigma`` turns a parking
 function into a parking set by spending its values as deletion budgets;
 ``rho`` turns a parking set into a parking function by fixing exactly
-the input's elements and counting the deletions.  The object-level
+the input's elements and counting the deletions.  ``walk`` takes both
+choices at every step and so yields every completed sweep, that is every
+parking function with its image, in one search.  The object-level
 wrappers validate the input by its permutation certificate, run the sweep
 and translate its events into a ``BijectionTrace`` (deletions and
 fixations with global step numbers) so tests can replay the execution.
@@ -88,6 +90,49 @@ def sweep(masks, budget, fixed=0, events=None):
         if events is not None:
             events.append((kind, j, e))
     return used, chosen
+
+
+def walk(masks):
+    """Every completed ``sweep`` of ``masks`` under a deletion budget, by
+    a depth-first search over the sweep tree.
+
+    At each step of ``sweep`` the owner j of the lowest exactly-one bit
+    is either fixed with it or loses it; the walk takes both branches,
+    deleting only while ``used[j] + 1 < |A_j|`` (a budget beyond
+    |A_j| - 1 stalls).  Branches whose pool empties are dropped.  Returns
+    one (deletions per set, mask of the fixed bits) leaf per completed
+    sweep, sorted lexicographically: the deletions are the budget that
+    drives ``sweep`` to the same fixed mask.
+    """
+    cap = [a.bit_count() for a in masks]
+    leaves = []
+    stack = [(list(masks), [0] * len(masks), list(range(len(masks))), 0)]
+    while stack:
+        working, used, active, chosen = stack.pop()
+        while active:
+            once = twice = 0
+            for j in active:
+                a = working[j]
+                twice |= once & a
+                once |= a
+            pool = once & ~twice
+            if not pool:
+                break
+            e = pool & -pool
+            for j in active:
+                if working[j] & e:
+                    break
+            if used[j] + 1 < cap[j]:
+                deleted, spent = working[:], used[:]
+                deleted[j] ^= e
+                spent[j] += 1
+                stack.append((deleted, spent, active[:], chosen))
+            active.remove(j)
+            chosen |= e
+        else:
+            leaves.append((tuple(used), chosen))
+    leaves.sort()
+    return leaves
 
 
 def _traced_sweep(system, budget, fixed, what):

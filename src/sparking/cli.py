@@ -15,7 +15,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .enumeration import random_set_system, table_functions, table_sets, verify_bijection
+from .enumeration import (
+    random_set_system,
+    table_functions,
+    table_sets,
+    tree_pairs,
+    verify_bijection,
+)
 from .bijections import rho, sigma
 from .formats import (
     FormatError,
@@ -58,11 +64,14 @@ def _emit_json(payload):
 
 def _cmd_enumerate(args):
     system = load_set_system(_read(args.system))
+    # the sets come off the subfamily table, which refuses k beyond its
+    # cap, so they are taken before the functions walk the sweep tree
+    sets = None if args.which == "functions" else [sorted(d) for d in table_sets(system)]
     families = {}
-    if args.which in ("functions", "both"):
-        families["functions"] = [list(f) for f in table_functions(system)]
-    if args.which in ("sets", "both"):
-        families["sets"] = [sorted(d) for d in table_sets(system)]
+    if args.which != "sets":
+        families["functions"] = [list(f) for f, _ in tree_pairs(system)]
+    if sets is not None:
+        families["sets"] = sets
     if args.json:
         _emit_json(families)
         return 0

@@ -1,33 +1,36 @@
 """Enumeration of parking functions and parking sets, and the checks
 that the two mappings are inverse bijections between them.
 
-The production membership filters read the subfamily table
-(``systems.subfamily_table``; ``SetSystem.table`` for a system), which
-records each subset's exactly-one pool and its members' private-part
-thresholds.  ``box_filter`` keeps the value vectors of the box that beat
-some threshold of every subset (P), and ``pool_filter`` the k-subsets
-that meet every pool (Q).  ``table_functions`` and ``table_sets`` give a
-system's families, ``mask_families`` a bare bitmask family's (the scan).
-``enumerate_parking_functions`` and ``enumerate_parking_sets``, which
-test every candidate against all 2^k - 1 subfamilies by definition, are
-the oracles: ``verify_bijection`` and the tests use them.
+``tree_pairs`` gives a system's parking functions, in lexicographic
+order, together with their ``sigma`` images, off the sweep tree
+(``bijections.walk``), and certifies each by the greedy peel;
+``paired_images`` pairs them for the matroid and graph bijections and
+checks the images against a target family, and ``enumerate`` lists them.
+The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
+a system) records each subset's exactly-one pool and its members'
+private-part thresholds.  ``box_filter`` keeps the value vectors of the
+box that beat some threshold of every subset (P), and ``pool_filter``
+the k-subsets that meet every pool (Q).  ``table_functions`` and
+``table_sets`` give a system's families off the table, ``mask_families``
+a bare bitmask family's (the scan).  ``enumerate_parking_functions`` and
+``enumerate_parking_sets``, which test every candidate against all
+2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
+and the tests use them.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
 definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
 it the table's families of every small system of a generator.
-``paired_images`` pairs each parking function with its image for the
-matroid and graph bijections and checks the images against a target
-family.
 """
 
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 
-from .bijections import sweep
+from .bijections import sweep, walk
 from .systems import (
     VerificationError,
+    _peel,
     _system_over,
     is_parking_function,
     is_parking_set,
@@ -144,18 +147,30 @@ def check_roundtrip(masks, functions, sets, show=lambda d: f"0b{d:b}"):
     return forward, failures
 
 
+def tree_pairs(system):
+    """The parking functions of ``system``, in lexicographic order, each
+    paired with the mask of its ``sigma`` image, off the sweep tree
+    (``bijections.walk``).  Each leaf is certified by the greedy peel
+    before it is returned; same empty-member warning as the oracle."""
+    masks = system.compiled.masks
+    if not all(masks):
+        warnings.warn("family contains an empty set: no parking functions",
+                      stacklevel=2)
+        return []
+    leaves = walk(masks)
+    for f, _ in leaves:
+        if _peel(system, f) is None:
+            raise VerificationError(f"the sweep tree completed on {f}, not a parking function")
+    return leaves
+
+
 def paired_images(system, target, transform=None):
     """Pair every parking function with its ``sigma`` image, passed
     through ``transform`` when given, and check that the images hit each
     member of ``target`` exactly once; raises VerificationError if not."""
-    compiled = system.compiled
-    pairs = []
-    for f in table_functions(system):
-        run = sweep(compiled.masks, f)
-        if run is None:
-            raise VerificationError(f"sigma stalls on the parking function {f}")
-        image = compiled.elements_of(run[1])
-        pairs.append((f, image if transform is None else transform(image)))
+    elements_of = system.compiled.elements_of
+    transform = transform or (lambda image: image)
+    pairs = [(f, transform(elements_of(d))) for f, d in tree_pairs(system)]
     images = {image for _, image in pairs}
     if len(images) != len(pairs):
         raise VerificationError("bijection image has a collision")

@@ -6,22 +6,25 @@ deletion-contraction count.  The star sets of the non-root vertices
 form the cocircuit-side family whose parking functions are exactly the
 degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
-caller drive the circuit-side variant.
+caller drive the circuit-side variant.  Both tree bijections pair off
+the sweep tree (``bijections.walk``) and refuse more than
+``MAX_CHECK_SETS`` sets before the trees, their target, are enumerated.
 
 G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
 Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
-no cap on the vertex count; the star side of the equivalence comes from
-the star system's subfamily table, so the two lists are computed by
-different algorithms.  The face-boundary bijection reads its cover
-precondition and its parking functions off one system's table.
+no cap on the vertex count; the star side of the equivalence is the
+star system's sweep tree, so the two lists are computed by different
+algorithms.  The face-boundary bijection reads its cover precondition
+off the boundary system's subfamily table.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .enumeration import paired_images, table_functions
+from .bijections import walk
+from .enumeration import paired_images
 from .matroids import Matroid, PreconditionError, _independent_row
-from .systems import _system_over
+from .systems import MAX_CHECK_SETS, _system_over
 
 
 class Multigraph:
@@ -136,8 +139,23 @@ def deletion_contraction_count(graph):
 
 def graphic_matroid(graph):
     """Matroid on the edge ids whose bases are the spanning trees; loops
-    live in the ground set but in no basis."""
-    return Matroid._by_construction(graph.edge_ids, spanning_trees(graph))
+    live in the ground set but in no basis.  The rank of an edge set is
+    the number of merges union-find makes along it (n minus the number
+    of components it leaves)."""
+    ends = {e: (u, v) for e, u, v in graph.edges}
+
+    def rank(edges):
+        parent = list(range(graph.n_vertices))
+        merges = 0
+        for e in edges:
+            u, v = ends[e]
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                merges += 1
+        return merges
+
+    return Matroid._by_construction(graph.edge_ids, spanning_trees(graph), rank)
 
 
 def star_sets(graph):
@@ -212,10 +230,12 @@ class GParkingReport:
 
 
 def g_parking_equals_s_parking(graph):
-    """Enumerate the degree-defined parking functions and the star-set
-    parking functions over the same value box and report equality."""
+    """Enumerate the degree-defined parking functions, by burning every
+    vector of the star box, and the star-set parking functions, off the
+    star system's sweep tree, and report equality."""
+    # the walk's leaves are not peeled here: the burning list checks them
     system = star_system(graph)
-    star_defined = table_functions(system)
+    star_defined = [f for f, _ in walk(system.compiled.masks)]
     degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
 
@@ -243,12 +263,22 @@ def classic_correspondence(n):
                for f in product(range(n), repeat=n))
 
 
+def _refuse_beyond_cap(k, what):
+    """Refuse a tree bijection on ``k`` sets beyond ``MAX_CHECK_SETS``
+    before the spanning trees, its target, are enumerated by brute force."""
+    if k > MAX_CHECK_SETS:
+        raise ValueError(
+            f"too large: k={k} {what}; the tree bijections are capped at k={MAX_CHECK_SETS}")
+
+
 def spanning_tree_bijection(graph, weights=None):
     """Map every star-set parking function to its parking set and verify
     those are exactly the spanning trees, each hit once."""
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
-    return paired_images(star_system(graph, weights), spanning_trees(graph))
+    system = star_system(graph, weights)
+    _refuse_beyond_cap(system.k, "star sets")
+    return paired_images(system, spanning_trees(graph))
 
 
 def face_boundary_bijection(graph, boundaries, weights=None):
@@ -271,6 +301,7 @@ def face_boundary_bijection(graph, boundaries, weights=None):
     if len(boundaries) != expected:
         raise PreconditionError(
             f"got {len(boundaries)} face sets, need k = |E| - |V| + 1 = {expected}")
+    _refuse_beyond_cap(expected, "face sets")
     matroid = graphic_matroid(graph)
     for i, b in enumerate(boundaries, start=1):
         if not matroid.is_union_of_circuits(b):

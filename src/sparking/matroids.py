@@ -1,13 +1,18 @@
-"""Finite matroids given by explicit basis lists.
+"""Finite matroids given by basis lists, with a rank function.
 
-Rank, circuits, cocircuits and duality all derive from the basis list by
-brute force, which is the point: everything here exists to verify the
-parking-set/basis identities and the induced bijections on desk-scale
-instances.  A side of the theorem is computed once per call by
-``_checked_side``: one system of the parts, whose subfamily table
+A matroid keeps its bases and ranks sets by the rule of its
+construction: ``uniform_matroid`` by min(|S|, r), ``graphic_matroid`` by
+union-find, ``dual`` by r*(X) = |X| - r(E) + r(E - X), and an explicit
+``Matroid(...)`` by the max over its bases.  Circuits and cocircuits
+still come from subset scans, which is the point: everything here exists
+to verify the parking-set/basis identities and the induced bijections on
+desk-scale instances.  A side of the theorem is computed once per call
+by ``_checked_side``: one system of the parts, over the matroid's one
+identity universe unless weights are given, whose subfamily table
 (``SetSystem.table``) gives the parking sets, the bracket on the
-reference matroid (the dual on the cocircuit side), the full-cover check
-and the parking functions that the theorem bijection pairs.
+reference matroid (the dual on the cocircuit side) and the full-cover
+check; the theorem bijection pairs the parking functions off the sweep
+tree (``enumeration.paired_images``).
 """
 
 from dataclasses import dataclass
@@ -29,23 +34,26 @@ class Matroid:
     The basis list is deduplicated and kept in a deterministic order.
     ``Matroid(...)``, and so every matroid file, checks that the bases lie
     in the ground set, share one cardinality and satisfy the
-    basis-exchange axiom.  ``uniform_matroid``, ``graphic_matroid`` and
-    ``dual`` are matroids by construction and skip the O(B²·r²) exchange
-    check, keeping the others.
+    basis-exchange axiom, and ranks a set by the max over the bases.
+    ``uniform_matroid``, ``graphic_matroid`` and ``dual`` are matroids by
+    construction: they skip the O(B²·r²) exchange check, keeping the
+    others, and pass the rank formula of their construction.
     """
 
     def __init__(self, ground, bases):
-        self._store(ground, bases)
+        self._store(ground, bases, self._rank_over_bases)
         self._check_exchange()
 
     @classmethod
-    def _by_construction(cls, ground, bases):
-        """A matroid whose bases satisfy exchange by construction."""
+    def _by_construction(cls, ground, bases, rank):
+        """A matroid whose bases satisfy exchange by construction, ranked
+        by ``rank``, a function of a frozenset inside the ground set."""
         matroid = cls.__new__(cls)
-        matroid._store(ground, bases)
+        matroid._store(ground, bases, rank)
         return matroid
 
-    def _store(self, ground, bases):
+    def _store(self, ground, bases, rank):
+        self._rank = rank
         self.ground = frozenset(ground)
         unique = {frozenset(b) for b in bases}
         if not unique:
@@ -68,12 +76,15 @@ class Matroid:
                         raise ValueError(
                             f"basis exchange fails for {sorted(b1)} / {sorted(b2)} at {x}")
 
+    def _rank_over_bases(self, s):
+        return max(len(b & s) for b in self.bases)
+
     def rank(self, subset):
         """Largest independent portion of ``subset``."""
         s = frozenset(subset)
         if not s <= self.ground:
             raise ValueError("subset must lie inside the ground set")
-        return max(len(b & s) for b in self.bases)
+        return self._rank(s)
 
     @cached_property
     def circuits(self):
@@ -91,8 +102,17 @@ class Matroid:
 
     @cached_property
     def dual(self):
-        """Matroid whose bases are the complements of this one's."""
-        return Matroid._by_construction(self.ground, [self.ground - b for b in self.bases])
+        """Matroid whose bases are the complements of this one's, ranked by
+        r*(X) = |X| - r(E) + r(E - X) (Oxley, Matroid Theory, 2nd ed., §2.1)."""
+        ground, full, rank = self.ground, self.rank_value, self._rank
+        return Matroid._by_construction(ground, [ground - b for b in self.bases],
+                                        lambda s: len(s) - full + rank(ground - s))
+
+    @cached_property
+    def _identity(self):
+        """An empty system over identity weights on the ground set: every
+        unweighted parts system is built from it and shares its universe."""
+        return _system_over(self.ground, ())
 
     @cached_property
     def cocircuits(self):
@@ -116,7 +136,7 @@ class Matroid:
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        return _bracket(self, _system_over(self.ground, _checked_parts(self, parts)))
+        return _bracket(self, _parts_system(self, _checked_parts(self, parts)))
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
@@ -139,7 +159,8 @@ def uniform_matroid(n, r):
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     ground = range(1, n + 1)
-    return Matroid._by_construction(ground, [frozenset(c) for c in combinations(ground, r)])
+    return Matroid._by_construction(ground, [frozenset(c) for c in combinations(ground, r)],
+                                    lambda s: min(len(s), r))
 
 
 def _checked_parts(matroid, parts):
@@ -150,10 +171,21 @@ def _checked_parts(matroid, parts):
     return parts
 
 
+def _parts_system(matroid, parts, weights=None):
+    """The system of ``parts``, over the matroid's identity universe
+    unless ``weights`` are given."""
+    if weights is None:
+        return matroid._identity.with_sets(parts)
+    return _system_over(matroid.ground, parts, weights)
+
+
 def _bracket(matroid, system):
-    """``bases_bracket`` of the parts of ``system``, off its subfamily table."""
-    pools = {system.compiled.elements_of(pool) for pool, _ in system.table}
-    return [b for b in matroid.bases if any(pool <= b for pool in pools)]
+    """``bases_bracket`` of the parts of ``system``, off its subfamily
+    table: a basis is kept when some pool mask lies inside its mask."""
+    mask_of = system.compiled.mask_of
+    pools = {pool for pool, _ in system.table}
+    return [b for b, m in zip(matroid.bases, map(mask_of, matroid.bases))
+            if any(pool & m == pool for pool in pools)]
 
 
 @dataclass
@@ -251,7 +283,7 @@ def _checked_side(matroid, parts, side, weights=None):
         raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
     non_union = next((i for i, p in enumerate(parts, start=1)
                       if not reference.is_union_of_circuits(p)), None)
-    system = _system_over(matroid.ground, parts, weights)
+    system = _parts_system(matroid, parts, weights)
     survivors = frozenset(reference.bases).difference(_bracket(reference, system))
     if side == "cocircuit":
         survivors = frozenset(matroid.ground - b for b in survivors)
@@ -331,11 +363,18 @@ def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
     if k == 0:
         return []
     candidates = cocircuit_union_subsets(matroid)
+    compiled = matroid._identity.with_sets(candidates).compiled
     dual = matroid.dual
     results = []
     nodes = 0
 
-    def extend(prefix, start):
+    def dependent(once, twice):
+        pool = once & ~twice
+        return dual.rank(compiled.elements_of(pool)) < pool.bit_count()
+
+    def extend(prefix, folds, start):
+        # folds: the (once, twice) fold of every subfamily of the prefix,
+        # the empty one included; the prefix's own rows are all dependent
         nonlocal nodes
         if len(results) >= limit or nodes > max_nodes:
             return
@@ -346,11 +385,12 @@ def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
             nodes += 1
             if nodes > max_nodes:
                 return
-            extended = prefix + [candidates[idx]]
-            if _independent_row(_system_over(matroid.ground, extended), dual) is None:
-                extend(extended, idx + 1)
+            a = compiled.masks[idx]
+            grown = [(once | a, twice | once & a) for once, twice in folds]
+            if all(dependent(*fold) for fold in grown):
+                extend(prefix + [candidates[idx]], folds + grown, idx + 1)
             if len(results) >= limit:
                 return
 
-    extend([], 0)
+    extend([], [(0, 0)], 0)
     return results

@@ -250,6 +250,36 @@ def test_k_beyond_the_cap_is_refused_as_too_large(tmp_path, capsys):
     assert "line" not in err
 
 
+def test_enumerate_functions_walk_past_the_cap(tmp_path, capsys):
+    # the functions come off the sweep tree; the sets still read the table
+    path = tmp_path / "path21.txt"
+    path.write_text("21 22\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 22)))
+    assert main(["enumerate", str(path), "--functions", "--json"]) == 0
+    functions = json.loads(capsys.readouterr().out)["functions"]
+    assert len(functions) == 22 and functions[0] == [0] * 21
+    for which in ("--sets", "--both"):
+        assert main(["enumerate", str(path), which]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: too large") and not captured.out
+
+
+@pytest.mark.parametrize("faces", [False, True], ids=["stars", "faces"])
+def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
+    # K22 has 21 star sets and 210 independent cycles; its spanning trees
+    # would be enumerated by brute force before any table refused them
+    k22 = complete_graph(22)
+    path = tmp_path / "k22.txt"
+    path.write_text("vertices 22\n" + "".join(f"{e} {u} {v}\n" for e, u, v in k22.edges))
+    argv = ["graph", str(path)]
+    if faces:
+        (tmp_path / "faces.txt").write_text("".join(f"{e}\n" for e in range(1, 211)))
+        argv += ["--faces", str(tmp_path / "faces.txt")]
+    result = _run_cli(*argv, timeout=10)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: too large: k=" + ("210 face" if faces else "21 star"))
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("text, message", [
     ("2 3\n1 2\n", "error: line 1: expected 2 set lines, found 1\n"),
     ("1 2\nweights 1 1\n1\n", "error: line 2: element weights must be pairwise distinct\n"),

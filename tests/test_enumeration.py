@@ -5,7 +5,9 @@ from itertools import islice, permutations
 
 import pytest
 
-from sparking import SetSystem, Universe, verify_bijection
+import sparking.enumeration
+from sparking import SetSystem, Universe, VerificationError, verify_bijection
+from sparking.bijections import sweep, walk
 from sparking.enumeration import (
     all_mask_systems,
     all_set_systems,
@@ -15,6 +17,7 @@ from sparking.enumeration import (
     enumerate_parking_sets,
     exhaustive_roundtrip_scan,
     mask_families,
+    paired_images,
     pool_filter,
     random_set_system,
     system_from_masks,
@@ -261,3 +264,60 @@ def test_box_filter_keeps_lexicographic_order():
     assert box_filter([range(3), range(3)], [[(0, 1), (1, 2)]]) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert box_filter([], []) == [()]
+
+
+# --- the sweep tree -----------------------------------------------------------
+
+def _table_pairs(system):
+    """The pairs as the subfamily table gives them: each parking function
+    in box order with the mask of its sweep."""
+    masks = system.compiled.masks
+    return [(f, sweep(masks, f)[1]) for f in table_functions(system)]
+
+
+def test_walk_leaves_equal_the_table_families():
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _, _, masks in all_mask_systems(3, 5, canonical=False):
+            ps, qs = mask_families(masks)
+            pairs = [(f, sweep(masks, f)[1]) for f in ps]
+            assert walk(masks) == pairs
+            # every element is covered, so the object form has these masks
+            system = system_from_masks(masks)
+            assert system.compiled.masks == masks
+            elements_of = system.compiled.elements_of
+            assert paired_images(system, map(elements_of, qs)) == [
+                (f, elements_of(d)) for f, d in pairs]
+            checked += 1
+    assert checked == 19978
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_walk_pairs_the_star_systems_like_the_table(n):
+    system = star_system(complete_graph(n))
+    pairs = _table_pairs(system)
+    assert walk(system.compiled.masks) == pairs
+    assert len(pairs) == n ** (n - 2)
+    elements_of = system.compiled.elements_of
+    trees = [elements_of(d) for _, d in pairs]
+    assert paired_images(system, trees) == [(f, elements_of(d)) for f, d in pairs]
+
+
+def test_paired_images_certify_every_leaf(monkeypatch):
+    # a leaf the peel rejects, (2, 2) on u42, stops the pairing
+    system = SetSystem([{1, 2, 3}, {1, 2, 4}])
+    leaves = walk(system.compiled.masks)
+    monkeypatch.setattr(sparking.enumeration, "walk",
+                        lambda masks: leaves + [((2, 2), 0b1100)])
+    with pytest.raises(VerificationError, match="not a parking function"):
+        paired_images(system, [])
+
+
+def test_walk_has_no_subset_cap():
+    # the table refuses k = 21; the tree of 21 disjoint pairs has 2^21
+    # leaves, so a path of 21 overlapping pairs stands in: k + 1 leaves
+    masks = tuple(0b11 << j for j in range(21))
+    leaves = walk(masks)
+    assert len(leaves) == 22
+    assert all(sweep(masks, f) == (list(f), d) for f, d in leaves)
