@@ -15,13 +15,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .enumeration import (
-    random_set_system,
-    table_functions,
-    table_sets,
-    tree_pairs,
-    verify_bijection,
-)
+from .enumeration import random_set_system, table_sets, tree_pairs, verify_bijection
 from .bijections import rho, sigma
 from .formats import (
     FormatError,
@@ -200,8 +194,7 @@ def u42_table():
     """The five-row pairing table of the rank-2 uniform matroid on four
     elements with parts {1,2,3} and {1,2,4}, identity weights."""
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
-    pairs = [(f, sigma(system, f)[0])
-             for f in table_functions(system)]
+    pairs = [(f, system.compiled.elements_of(d)) for f, d in tree_pairs(system)]
     return render_pairing_table(pairs, 2, set_names=["E1", "E2"],
                                 ground=frozenset({1, 2, 3, 4}))
 

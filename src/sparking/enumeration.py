@@ -10,9 +10,9 @@ The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
 a system) records each subset's exactly-one pool and its members'
 private-part thresholds.  ``box_filter`` keeps the value vectors of the
 box that beat some threshold of every subset (P), and ``pool_filter``
-the k-subsets that meet every pool (Q).  ``table_functions`` and
-``table_sets`` give a system's families off the table, ``mask_families``
-a bare bitmask family's (the scan).  ``enumerate_parking_functions`` and
+the k-subsets that meet every pool (Q).  ``table_sets`` gives a
+system's parking sets off the table, ``mask_families`` both families of
+a bare bitmask family (the scan).  ``enumerate_parking_functions`` and
 ``enumerate_parking_sets``, which test every candidate against all
 2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
 and the tests use them.
@@ -275,17 +275,6 @@ def mask_families(masks):
     table = subfamily_table(masks)
     return (box_filter([range(a.bit_count()) for a in masks], [t for _, t in table]),
             pool_filter(masks, [pool for pool, _ in table]))
-
-
-def table_functions(system):
-    """The parking functions of ``system`` by ``box_filter`` over its
-    subfamily table; same list and empty-member warning as the oracle."""
-    masks = system.compiled.masks
-    if not all(masks):
-        warnings.warn("family contains an empty set: no parking functions",
-                      stacklevel=2)
-        return []
-    return box_filter([range(a.bit_count()) for a in masks], [t for _, t in system.table])
 
 
 def table_sets(system):

@@ -8,7 +8,8 @@ degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
 caller drive the circuit-side variant.  Both tree bijections pair off
 the sweep tree (``bijections.walk``) and refuse more than
-``MAX_CHECK_SETS`` sets before the trees, their target, are enumerated.
+``MAX_CHECK_SETS`` sets (``systems._subset_budget``, the subfamily
+table's cap) before the trees, their target, are enumerated.
 
 G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
 Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
@@ -24,7 +25,7 @@ from itertools import combinations, product
 from .bijections import walk
 from .enumeration import paired_images
 from .matroids import Matroid, PreconditionError, _independent_row
-from .systems import MAX_CHECK_SETS, _system_over
+from .systems import _subset_budget, _system_over
 
 
 class Multigraph:
@@ -235,6 +236,7 @@ def g_parking_equals_s_parking(graph):
     star system's sweep tree, and report equality."""
     # the walk's leaves are not peeled here: the burning list checks them
     system = star_system(graph)
+    _subset_budget(system.k)
     star_defined = [f for f, _ in walk(system.compiled.masks)]
     degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
@@ -263,21 +265,13 @@ def classic_correspondence(n):
                for f in product(range(n), repeat=n))
 
 
-def _refuse_beyond_cap(k, what):
-    """Refuse a tree bijection on ``k`` sets beyond ``MAX_CHECK_SETS``
-    before the spanning trees, its target, are enumerated by brute force."""
-    if k > MAX_CHECK_SETS:
-        raise ValueError(
-            f"too large: k={k} {what}; the tree bijections are capped at k={MAX_CHECK_SETS}")
-
-
 def spanning_tree_bijection(graph, weights=None):
     """Map every star-set parking function to its parking set and verify
     those are exactly the spanning trees, each hit once."""
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
     system = star_system(graph, weights)
-    _refuse_beyond_cap(system.k, "star sets")
+    _subset_budget(system.k)
     return paired_images(system, spanning_trees(graph))
 
 
@@ -301,7 +295,7 @@ def face_boundary_bijection(graph, boundaries, weights=None):
     if len(boundaries) != expected:
         raise PreconditionError(
             f"got {len(boundaries)} face sets, need k = |E| - |V| + 1 = {expected}")
-    _refuse_beyond_cap(expected, "face sets")
+    _subset_budget(expected)
     matroid = graphic_matroid(graph)
     for i, b in enumerate(boundaries, start=1):
         if not matroid.is_union_of_circuits(b):

@@ -276,7 +276,7 @@ def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
         argv += ["--faces", str(tmp_path / "faces.txt")]
     result = _run_cli(*argv, timeout=10)
     assert result.returncode == 2
-    assert result.stderr.startswith("error: too large: k=" + ("210 face" if faces else "21 star"))
+    assert result.stderr.startswith(f"error: too large: k={210 if faces else 21} sets;")
     assert result.stdout == ""
 
 

@@ -21,8 +21,8 @@ from sparking.enumeration import (
     pool_filter,
     random_set_system,
     system_from_masks,
-    table_functions,
     table_sets,
+    tree_pairs,
 )
 from sparking.graphs import complete_graph, star_system
 from sparking.systems import subfamily_table
@@ -209,7 +209,7 @@ def _check_table(system):
         sets_ = enumerate_parking_sets(system)
     with warnings.catch_warnings(record=True) as table_warnings:
         warnings.simplefilter("always")
-        assert table_functions(system) == functions
+        assert [f for f, _ in tree_pairs(system)] == functions
         assert table_sets(system) == sets_
     assert ([str(w.message) for w in table_warnings]
             == [str(w.message) for w in oracle_warnings])
@@ -256,7 +256,7 @@ def test_table_refuses_beyond_the_cap():
     with pytest.raises(ValueError, match="cap"):
         subfamily_table((1,) * 21)
     with pytest.raises(ValueError, match="cap"):
-        table_functions(SetSystem([{1}] * 21))
+        table_sets(SetSystem([{1}] * 21))
 
 
 def test_box_filter_keeps_lexicographic_order():
@@ -272,7 +272,8 @@ def _table_pairs(system):
     """The pairs as the subfamily table gives them: each parking function
     in box order with the mask of its sweep."""
     masks = system.compiled.masks
-    return [(f, sweep(masks, f)[1]) for f in table_functions(system)]
+    functions = box_filter([range(a.bit_count()) for a in masks], [t for _, t in system.table])
+    return [(f, sweep(masks, f)[1]) for f in functions]
 
 
 def test_walk_leaves_equal_the_table_families():

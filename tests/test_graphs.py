@@ -235,6 +235,16 @@ def test_g_parking_parallel_edges_count_with_multiplicity():
     assert g_parking_equals_s_parking(doubled).equal
 
 
+def test_g_parking_equals_s_parking_refuses_beyond_the_cap():
+    # K22 has 21 star sets: uncapped, the sweep tree would list 22^20
+    # functions and the burning filter scan a 21^21 box
+    k22 = complete_graph(22)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large: k=21 sets"):
+        g_parking_equals_s_parking(k22)
+    assert time.perf_counter() - start < 1.0
+
+
 # --- classic parking functions ---------------------------------------------------------
 
 def test_classic_n2():
