@@ -2,9 +2,9 @@
 
 Subcommands: enumerate, map, verify, matroid, graph, demo.  Exit codes:
 0 everything requested passed, 1 a verification failed, 2 malformed
-input, 3 a theorem precondition failed.  ``--json`` mirrors every
-report; randomness is seeded by ``--seed`` (default: the SPARKING_SEED
-environment variable, then 0).
+input, 3 a theorem precondition failed, 141 stdout's reader closed the
+pipe early.  ``--json`` mirrors every report; randomness is seeded by
+``--seed`` (default: the SPARKING_SEED environment variable, then 0).
 """
 
 import argparse
@@ -269,7 +269,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that left shows up here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # stdout's reader left early (``| head``): end quietly, as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3

@@ -7,12 +7,13 @@ order, together with their ``sigma`` images, off the sweep tree
 ``paired_images`` pairs them for the matroid and graph bijections and
 checks the images against a target family, and ``enumerate`` lists them.
 The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
-a system) records each subset's exactly-one pool and its members'
-private-part thresholds.  ``box_filter`` keeps the value vectors of the
-box that beat some threshold of every subset (P), and ``pool_filter``
-the k-subsets that meet every pool (Q).  ``table_sets`` gives a
-system's parking sets off the table, ``mask_families`` both families of
-a bare bitmask family (the scan).  ``enumerate_parking_functions`` and
+a system) holds each subset's exactly-one pool mask.  ``pool_filter``
+keeps the k-subsets that meet every pool (Q); ``table_sets`` gives a
+system's parking sets that way.  ``mask_families``, the scan, gives both
+families of a bare bitmask family: it alone derives each subset's
+private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep
+the value vectors of the box that beat one threshold of every subset
+(P).  ``enumerate_parking_functions`` and
 ``enumerate_parking_sets``, which test every candidate against all
 2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
 and the tests use them.
@@ -272,17 +273,18 @@ def pool_filter(masks, pools):
 def mask_families(masks):
     """Both families of one bitmask system from its subfamily table:
     P as value tuples in lexicographic order, Q as masks."""
-    table = subfamily_table(masks)
-    return (box_filter([range(a.bit_count()) for a in masks], [t for _, t in table]),
-            pool_filter(masks, [pool for pool, _ in table]))
+    pools = subfamily_table(masks)
+    thresholds = [[(j, (a & pool).bit_count()) for j, a in enumerate(masks) if imask >> j & 1]
+                  for imask, pool in enumerate(pools, 1)]
+    return (box_filter([range(a.bit_count()) for a in masks], thresholds),
+            pool_filter(masks, pools))
 
 
 def table_sets(system):
     """The parking sets of ``system`` by ``pool_filter`` over its
     subfamily table, sorted like the oracle's."""
     compiled = system.compiled
-    pools = [pool for pool, _ in system.table]
-    return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, pools)),
+    return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, system.table)),
                   key=sorted)
 
 

@@ -16,7 +16,7 @@ Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
 no cap on the vertex count; the star side of the equivalence is the
 star system's sweep tree, so the two lists are computed by different
 algorithms.  The face-boundary bijection reads its cover precondition
-off the boundary system's subfamily table.
+off the exactly-one pools of the boundary system's subfamily table.
 """
 
 from dataclasses import dataclass
@@ -301,10 +301,10 @@ def face_boundary_bijection(graph, boundaries, weights=None):
         if not matroid.is_union_of_circuits(b):
             raise PreconditionError(f"face set {i} is not a union of cycles")
     system = _system_over(graph.edge_ids, boundaries, weights)
-    row = _independent_row(system, matroid)
-    if row is not None:
-        raise PreconditionError(
-            f"exactly-one set of face sets {[j + 1 for j, _ in row[1]]} contains no cycle")
+    imask = _independent_row(system, matroid)
+    if imask is not None:
+        faces = [j + 1 for j in range(system.k) if imask >> j & 1]
+        raise PreconditionError(f"exactly-one set of face sets {faces} contains no cycle")
     return paired_images(system, matroid.bases, lambda image: matroid.ground - image)
 
 

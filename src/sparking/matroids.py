@@ -9,10 +9,10 @@ to verify the parking-set/basis identities and the induced bijections on
 desk-scale instances.  A side of the theorem is computed once per call
 by ``_checked_side``: one system of the parts, over the matroid's one
 identity universe unless weights are given, whose subfamily table
-(``SetSystem.table``) gives the parking sets, the bracket on the
-reference matroid (the dual on the cocircuit side) and the full-cover
-check; the theorem bijection pairs the parking functions off the sweep
-tree (``enumeration.paired_images``).
+(``SetSystem.table``), one exactly-one pool mask per subfamily, gives
+the parking sets, the bracket on the reference matroid (the dual on the
+cocircuit side) and the full-cover check; the theorem bijection pairs the
+parking functions off the sweep tree (``enumeration.paired_images``).
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,9 @@ from typing import NamedTuple
 
 from .enumeration import paired_images, table_sets
 from .systems import SetSystem, VerificationError, _system_over
+
+# candidate extensions ``find_cocircuit_cover_families`` tries before it gives up
+MAX_COVER_NODES = 200000
 
 
 class PreconditionError(ValueError):
@@ -183,7 +186,7 @@ def _bracket(matroid, system):
     """``bases_bracket`` of the parts of ``system``, off its subfamily
     table: a basis is kept when some pool mask lies inside its mask."""
     mask_of = system.compiled.mask_of
-    pools = {pool for pool, _ in system.table}
+    pools = set(system.table)
     return [b for b, m in zip(matroid.bases, map(mask_of, matroid.bases))
             if any(pool & m == pool for pool in pools)]
 
@@ -291,11 +294,11 @@ def _checked_side(matroid, parts, side, weights=None):
 
 
 def _independent_row(system, reference):
-    """The first row of ``system.table`` whose exactly-one set is
-    independent (circuit-free) in ``reference``, or None."""
+    """The bitmask of the first subfamily, in ``system.table`` order, whose
+    exactly-one set is independent (circuit-free) in ``reference``, or None."""
     elements_of = system.compiled.elements_of
-    return next((row for row in system.table
-                 if reference.rank(elements_of(row[0])) == row[0].bit_count()), None)
+    return next((imask for imask, pool in enumerate(system.table, 1)
+                 if reference.rank(elements_of(pool)) == pool.bit_count()), None)
 
 
 def parking_sets_vs_bases_circuit_side(matroid, parts):
@@ -348,7 +351,7 @@ def cocircuit_union_subsets(matroid):
     return out
 
 
-def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
+def find_cocircuit_cover_families(matroid, limit=1):
     """Search for families of rank-many cocircuit-unions whose every
     exactly-one combination contains a cocircuit.
 
@@ -376,21 +379,17 @@ def find_cocircuit_cover_families(matroid, limit=1, max_nodes=200000):
         # folds: the (once, twice) fold of every subfamily of the prefix,
         # the empty one included; the prefix's own rows are all dependent
         nonlocal nodes
-        if len(results) >= limit or nodes > max_nodes:
-            return
         if len(prefix) == k:
             results.append(tuple(prefix))
             return
         for idx in range(start, len(candidates)):
             nodes += 1
-            if nodes > max_nodes:
+            if len(results) >= limit or nodes > MAX_COVER_NODES:
                 return
             a = compiled.masks[idx]
             grown = [(once | a, twice | once & a) for once, twice in folds]
             if all(dependent(*fold) for fold in grown):
                 extend(prefix + [candidates[idx]], folds + grown, idx + 1)
-            if len(results) >= limit:
-                return
 
     extend([], [(0, 0)], 0)
     return results

@@ -7,8 +7,8 @@ oracles, the greedy permutation certificates that validate all input, the
 reductions the mapping algorithms lean on, and the weight rank ``delta``.
 ``SetSystem.compiled`` is the one bitmask form of a family: the mapping
 sweep and the certificates' greedy peel run on it, and its
-``subfamily_table``, cached as ``SetSystem.table``, holds the exactly-one
-pool of every subfamily for the enumeration, matroid and graph layers.
+``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
+pool mask per subfamily for the enumeration, matroid and graph layers.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -216,25 +216,15 @@ def _subset_budget(k):
 
 
 def subfamily_table(masks):
-    """One pass over the non-empty index subsets of a bitmask family.
-
-    Returns one (pool, thresholds) pair per subset, in bitmask order:
-    the subset's exactly-one pool as a mask, and the pairs (j, |A_j ∩
-    pool|) of its members j (0-based).  Refuses k > ``MAX_CHECK_SETS``.
+    """The exactly-one pool of every non-empty index subset of a bitmask
+    family, as masks in bitmask order: entry imask - 1 is the pool of the
+    subset whose member bits are set in imask.  Refuses k > ``MAX_CHECK_SETS``.
     """
-    k = len(masks)
-    _subset_budget(k)
-    table = []
-    for imask in range(1, 1 << k):
-        selected = [j for j in range(k) if imask >> j & 1]
-        once = twice = 0
-        for j in selected:
-            a = masks[j]
-            twice |= once & a
-            once |= a
-        pool = once & ~twice
-        table.append((pool, [(j, (masks[j] & pool).bit_count()) for j in selected]))
-    return table
+    _subset_budget(len(masks))
+    folds = [(0, 0)]  # (once, twice) of every subset of the masks seen so far
+    for a in masks:
+        folds += [(once | a, twice | once & a) for once, twice in folds]
+    return [once & ~twice for once, twice in folds[1:]]
 
 
 def _index_subsets(k):

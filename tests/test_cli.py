@@ -1,4 +1,5 @@
 import contextlib
+import fcntl
 import io
 import json
 import os
@@ -415,3 +416,23 @@ def test_matroid_on_the_k6_stars_runs_at_once(tmp_path):
         "side: cocircuit", "form: parking-sets",
         "surviving bases: 1296  parking expression: 1296  identity OK", "full cover: yes"]
     assert len(result.stdout.splitlines()) == 4 + 1 + 1296
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
+def test_graph_into_a_pipe_closed_early_exits_141_quietly(tmp_path):
+    # like ``sparking graph k6.txt | head -1``: the reader takes one line and
+    # leaves; a one-page pipe cannot hold the ~49 kB of pairs, so the child
+    # is still writing when it does
+    k6 = complete_graph(6)
+    graph = tmp_path / "k6.txt"
+    graph.write_text("vertices 6\n" + "".join(f"{e} {u} {v}\n" for e, u, v in k6.edges))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": str(Path(sparking.__file__).resolve().parents[1])}
+    child = subprocess.Popen([sys.executable, "-m", "sparking", "graph", str(graph)],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with open(read_end, "rb") as reader:
+        assert reader.readline() == b"spanning trees: 1296\n"
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")

@@ -25,7 +25,7 @@ from sparking.enumeration import (
     tree_pairs,
 )
 from sparking.graphs import complete_graph, star_system
-from sparking.systems import subfamily_table
+from sparking.systems import exactly_one, subfamily_table
 
 
 def test_enumerate_functions_u42(u42_system):
@@ -214,12 +214,20 @@ def _check_table(system):
     assert ([str(w.message) for w in table_warnings]
             == [str(w.message) for w in oracle_warnings])
     compiled = system.compiled
-    table = system.table
-    if all(compiled.masks):
-        boxes = [range(a.bit_count()) for a in compiled.masks]
-        assert box_filter(boxes, [t for _, t in table]) == functions
-    found = pool_filter(compiled.masks, [pool for pool, _ in table])
+    found = pool_filter(compiled.masks, system.table)
     assert sorted(map(compiled.elements_of, found), key=sorted) == sets_
+    assert mask_families(compiled.masks) == (functions, found)
+    _check_table_order(system)
+
+
+def _check_table_order(system):
+    """Entry imask - 1 of the table is the exactly-one pool of the
+    subfamily whose member bits are set in imask."""
+    compiled = system.compiled
+    assert len(system.table) == 2 ** system.k - 1
+    for imask, pool in enumerate(system.table, 1):
+        indices = [j + 1 for j in range(system.k) if imask >> j & 1]
+        assert pool == compiled.mask_of(exactly_one(system, indices))
 
 
 def test_table_agrees_with_oracles_on_every_small_system():
@@ -242,14 +250,24 @@ def test_table_agrees_with_oracles_on_every_small_system():
 
 def test_table_lists_subsets_in_bitmask_order():
     table = subfamily_table((0b0111, 0b1011))          # u42: {1,2,3} and {1,2,4}
-    assert table == [(0b0111, [(0, 3)]), (0b1011, [(1, 3)]),
-                     (0b1100, [(0, 1), (1, 1)])]
+    assert table == [0b0111, 0b1011, 0b1100]
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
     assert system.table == table
-    assert [([j + 1 for j, _ in pairs], system.compiled.elements_of(pool))
-            for pool, pairs in system.table] == [
-        ([1], frozenset({1, 2, 3})), ([2], frozenset({1, 2, 4})),
-        ([1, 2], frozenset({3, 4}))]
+    assert list(map(system.compiled.elements_of, system.table)) == [
+        frozenset({1, 2, 3}), frozenset({1, 2, 4}), frozenset({3, 4})]
+
+
+def test_table_order_on_seeded_systems_with_four_to_six_sets():
+    rng = random.Random(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in (4, 5, 6):
+            for _ in range(20):
+                m = rng.randint(1, 9)
+                sets = [{e for e in range(1, m + 1) if rng.random() < 0.5} for _ in range(k)]
+                weights = list(range(1, m + 1))
+                rng.shuffle(weights)
+                _check_table_order(SetSystem(sets, Universe(dict(zip(range(1, m + 1), weights)))))
 
 
 def test_table_refuses_beyond_the_cap():
@@ -272,8 +290,7 @@ def _table_pairs(system):
     """The pairs as the subfamily table gives them: each parking function
     in box order with the mask of its sweep."""
     masks = system.compiled.masks
-    functions = box_filter([range(a.bit_count()) for a in masks], [t for _, t in system.table])
-    return [(f, sweep(masks, f)[1]) for f in functions]
+    return [(f, sweep(masks, f)[1]) for f in mask_families(masks)[0]]
 
 
 def test_walk_leaves_equal_the_table_families():

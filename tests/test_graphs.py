@@ -329,6 +329,18 @@ def test_face_bijection_names_a_cycle_free_exactly_one_set(two_triangles, faces)
         face_boundary_bijection(two_triangles, faces)
 
 
+@pytest.mark.parametrize("faces, named", [([{1, 2, 4}, {1, 3, 5}, {1, 3, 5}], "[2, 3]"),
+                                          ([{1, 2, 4}, {1, 3, 5}, {1, 2, 4}], "[1, 3]")],
+                         ids=["2-3", "1-3"])
+def test_face_bijection_names_the_first_cycle_free_pair_of_three(faces, named):
+    # K4's triangles 012 and 013 and a repeat of one: every face, and the
+    # pair of the two triangles (a 4-cycle), holds a cycle; the pair with
+    # the repeat has an empty exactly-one set
+    with pytest.raises(PreconditionError) as caught:
+        face_boundary_bijection(complete_graph(4), faces)
+    assert str(caught.value) == f"exactly-one set of face sets {named} contains no cycle"
+
+
 def test_face_bijection_loop_circuit():
     looped_tree = Multigraph(2, [(1, 0, 1), (2, 1, 1)])
     pairs = face_boundary_bijection(looped_tree, [{2}])

@@ -54,11 +54,37 @@ def test_input_validation_stays_off_the_oracles():
     assert not _uses("bijections.py", membership) + _uses("systems.py", membership)
 
 
+def _table_rows(tree):
+    """The loop targets that take the entries of a ``.table`` attribute,
+    ``enumerate(...)`` unwrapped."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            source, target = node.iter, node.target
+            if (isinstance(source, ast.Call) and getattr(source.func, "id", None) == "enumerate"
+                    and isinstance(target, ast.Tuple) and len(target.elts) == 2):
+                source, target = source.args[0], target.elts[1]
+            if isinstance(source, ast.Attribute) and source.attr == "table":
+                yield target
+
+
 def test_graph_and_matroid_layers_read_the_system_table():
     # each public call threads one parts system, whose cached table feeds
     # every family, bracket and cover check of that call
-    names = {"subfamily_table", "subfamily_pools"}
+    names = {"subfamily_table"}
     assert not _uses("graphs.py", names) + _uses("matroids.py", names)
+    # and the table holds one bare pool mask per subfamily: no reader
+    # unpacks an entry or indexes into one
+    found, rows = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        targets = list(_table_rows(tree))
+        rows += len(targets)
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+        found += [f"{path.name}:{t.lineno}" for t in targets if not isinstance(t, ast.Name)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id in names]
+    assert rows and not found
 
 
 def test_graph_layer_walks_no_subsets():
