@@ -73,22 +73,26 @@ def sweep(masks, budget, fixed=0, events=None):
             twice |= once & a
             once |= a
         pool = once & ~twice
-        if not pool:
-            return None
-        e = pool & -pool
-        for j in active:
-            if working[j] & e:
+        # a deletion takes its bit out of the pool and changes no other
+        # bit's count, so the pool is refolded only after a fixation
+        while pool:
+            e = pool & -pool
+            for j in active:
+                if working[j] & e:
+                    break
+            if e & fixed or used[j] == budget[j]:
+                chosen |= e
+                active.remove(j)
+                if events is not None:
+                    events.append(("FIX", j, e))
                 break
-        if e & fixed or used[j] == budget[j]:
-            chosen |= e
-            active.remove(j)
-            kind = "FIX"
-        else:
             working[j] ^= e
             used[j] += 1
-            kind = "DEL"
-        if events is not None:
-            events.append((kind, j, e))
+            pool ^= e
+            if events is not None:
+                events.append(("DEL", j, e))
+        else:
+            return None
     return used, chosen
 
 

@@ -8,12 +8,15 @@ order, together with their ``sigma`` images, off the sweep tree
 checks the images against a target family, and ``enumerate`` lists them.
 The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
 a system) holds each subset's exactly-one pool mask.  ``pool_filter``
-keeps the k-subsets that meet every pool (Q); ``table_sets`` gives a
-system's parking sets that way.  ``mask_families``, the scan, gives both
-families of a bare bitmask family: it alone derives each subset's
-private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep
-the value vectors of the box that beat one threshold of every subset
-(P).  ``enumerate_parking_functions`` and
+keeps the k-subsets that meet every pool (Q), and refuses more than
+``MAX_CHECK_CANDIDATES`` of them; ``table_sets`` gives a system's parking
+sets that way.  ``mask_families``, the scan, gives both families of a
+bare bitmask family: it alone derives each subset's private-part
+thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep the value
+vectors of the box that beat one threshold of every subset (P).  The box
+is one bitset with a bit per value vector, in lexicographic order, and
+each subset clears the vectors that beat none of its thresholds with a
+few big-integer operations.  ``enumerate_parking_functions`` and
 ``enumerate_parking_sets``, which test every candidate against all
 2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
 and the tests use them.
@@ -26,10 +29,12 @@ it the table's families of every small system of a generator.
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
+from math import comb
 
 from .bijections import sweep, walk
 from .systems import (
+    MAX_CHECK_CANDIDATES,
     VerificationError,
     _peel,
     _system_over,
@@ -243,39 +248,71 @@ def random_set_system(rng, max_k=4, max_universe=6, shuffled_weights=False):
 # ---------------------------------------------------------------------------
 # the subfamily table: the production membership filters
 
+_BITS = bytes.maketrans(b"01", b"\0\1")    # binary digits to compress() selectors
+
+
 def box_filter(boxes, thresholds):
     """The value tuples f of the box ``boxes``, in lexicographic order,
-    for which every threshold list holds some (j, t) with f[j] < t."""
-    found = []
-    for f in product(*boxes):
-        for pairs in thresholds:
-            for j, t in pairs:
-                if f[j] < t:
-                    break
-            else:
-                break
-        else:
-            found.append(f)
-    return found
+    for which every threshold list holds some (j, t) with f[j] < t.
+
+    Each box is ``range(c)``.  The box is one bitset with a bit per cell
+    in row-major order, so ascending bits are lexicographic order; the
+    cells with f[j] >= t repeat one run of bits every period of dimension
+    j, and each threshold list clears the cells that lie in the runs of
+    all of its pairs.
+    """
+    cells, runs = 1, []
+    for box in reversed(boxes):
+        runs.append((cells, (1 << len(box) * cells) - 1))
+        cells *= len(box)
+    if not cells:
+        return []
+    full = (1 << cells) - 1
+    # per dimension: its stride, one period of cells, and the
+    # multiplier that repeats a period across the box
+    runs = [(stride, period, full // period) for stride, period in reversed(runs)]
+    keep = full
+    for pairs in thresholds:
+        held = full
+        for j, t in pairs:
+            stride, period, repeat = runs[j]
+            held &= (period >> t * stride << t * stride) * repeat
+        keep &= ~held
+    return list(compress(product(*boxes), f"{keep:b}"[::-1].encode().translate(_BITS)))
 
 
 def pool_filter(masks, pools):
     """The k-subsets of the covered bits that meet every pool, as masks
-    in combination order (k = len(masks))."""
+    in combination order (k = len(masks)).  Refuses more than
+    ``MAX_CHECK_CANDIDATES`` candidates before trying any."""
     union = 0
     for a in masks:
         union |= a
     bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
-    return [d for d in map(sum, combinations(bits, len(masks)))
-            if all(pool & d for pool in pools)]
+    candidates = comb(len(bits), len(masks))
+    if candidates > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: C({len(bits)}, {len(masks)}) = {candidates} candidate sets; "
+            f"filtering the parking sets is capped at {MAX_CHECK_CANDIDATES}")
+    pools = list(dict.fromkeys(pools))
+    found = []
+    for d in map(sum, combinations(bits, len(masks))):
+        for pool in pools:
+            if not pool & d:
+                break
+        else:
+            found.append(d)
+    return found
 
 
 def mask_families(masks):
     """Both families of one bitmask system from its subfamily table:
-    P as value tuples in lexicographic order, Q as masks."""
+    P as value tuples in lexicographic order, Q as masks.  A singleton
+    subfamily's threshold is |A_j| itself, which the box always beats,
+    so only the larger subfamilies filter the box."""
     pools = subfamily_table(masks)
     thresholds = [[(j, (a & pool).bit_count()) for j, a in enumerate(masks) if imask >> j & 1]
-                  for imask, pool in enumerate(pools, 1)]
+                  for imask, pool in enumerate(pools, 1) if imask & imask - 1]
     return (box_filter([range(a.bit_count()) for a in masks], thresholds),
             pool_filter(masks, pools))
 

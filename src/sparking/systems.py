@@ -24,6 +24,8 @@ from typing import NamedTuple
 # The definitional oracles and the subfamily table walk all 2^k - 1 index
 # subsets and refuse beyond this; the certificates that validate input have no cap.
 MAX_CHECK_SETS = 20
+# The parking sets are filtered out of all C(covered, k) k-subsets, refused beyond this.
+MAX_CHECK_CANDIDATES = 10 ** 7
 
 
 class VerificationError(Exception):

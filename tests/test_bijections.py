@@ -18,10 +18,13 @@ from sparking import (
     sigma,
     star_system,
 )
+from sparking.bijections import sweep
 from sparking.enumeration import (
+    all_mask_systems,
     all_set_systems,
     enumerate_parking_functions,
     enumerate_parking_sets,
+    mask_families,
     random_set_system,
 )
 from sparking.systems import ParkingSetCertificate, exactly_one_sets
@@ -266,3 +269,64 @@ def test_empty_family_roundtrip():
     assert enumerate_parking_sets(system) == [frozenset()]
     assert rho(system, frozenset())[0] == ()
     assert sigma(system, ())[0] == frozenset()
+
+
+# --- the sweep against its refold-every-step form ------------------------------
+
+def _sweep_refolding(masks, budget, fixed=0, events=None):
+    """``sweep`` as it was before deletions stopped refolding the pool:
+    the exactly-one pool is folded again before every step."""
+    working = list(masks)
+    used = [0] * len(masks)
+    active = list(range(len(masks)))
+    chosen = 0
+    while active:
+        once = twice = 0
+        for j in active:
+            a = working[j]
+            twice |= once & a
+            once |= a
+        pool = once & ~twice
+        if not pool:
+            return None
+        e = pool & -pool
+        for j in active:
+            if working[j] & e:
+                break
+        if e & fixed or used[j] == budget[j]:
+            chosen |= e
+            active.remove(j)
+            kind = "FIX"
+        else:
+            working[j] ^= e
+            used[j] += 1
+            kind = "DEL"
+        if events is not None:
+            events.append((kind, j, e))
+    return used, chosen
+
+
+def _check_sweep_against_refolding(masks):
+    """Every budget of the value box widened by one, which includes
+    stalls and spent-over budgets, and every parking set as the fixed
+    bits under the full budget (the ``rho`` path)."""
+    cap = [a.bit_count() for a in masks]
+    runs = [(budget, 0) for budget in product(*(range(c + 1) for c in cap))]
+    runs += [(cap, d) for d in mask_families(masks)[1]]
+    for budget, fixed in runs:
+        events, reference = [], []
+        assert ((sweep(masks, budget, fixed, events), events)
+                == (_sweep_refolding(masks, budget, fixed, reference), reference))
+
+
+def test_sweep_agrees_with_the_refolding_sweep_on_every_small_system():
+    checked = 0
+    for _, _, masks in all_mask_systems(3, 4, canonical=False):
+        _check_sweep_against_refolding(masks)
+        checked += 1
+    assert checked == 5 + 121 + 2801
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_sweep_agrees_with_the_refolding_sweep_on_the_star_systems(n):
+    _check_sweep_against_refolding(star_system(complete_graph(n)).compiled.masks)

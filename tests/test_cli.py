@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -278,6 +279,20 @@ def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
     result = _run_cli(*argv, timeout=10)
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: too large: k={210 if faces else 21} sets;")
+    assert result.stdout == ""
+
+
+def test_enumerate_sets_beyond_the_candidate_cap_is_refused_at_once(tmp_path):
+    # ten 12-element sets cover 56 of the elements 1..60: the parking sets
+    # would be filtered out of C(56, 10) ≈ 3.6·10^10 candidates
+    sets = [" ".join(str((5 * j + i) % 56 + 1) for i in range(12)) for j in range(10)]
+    path = tmp_path / "wide.txt"
+    path.write_text("10 60\n" + "".join(line + "\n" for line in sets))
+    start = time.perf_counter()
+    result = _run_cli("enumerate", str(path), "--sets", timeout=10)
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: too large: C(56, 10) = 35607051480 candidate sets;")
     assert result.stdout == ""
 
 

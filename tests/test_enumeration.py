@@ -1,7 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -282,6 +282,35 @@ def test_box_filter_keeps_lexicographic_order():
     assert box_filter([range(3), range(3)], [[(0, 1), (1, 2)]]) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
     assert box_filter([], []) == [()]
+
+
+def _box_filter_by_cell(boxes, thresholds):
+    """The per-cell loop ``box_filter`` replaced, kept as its reference."""
+    found = []
+    for f in product(*boxes):
+        for pairs in thresholds:
+            for j, t in pairs:
+                if f[j] < t:
+                    break
+            else:
+                break
+        else:
+            found.append(f)
+    return found
+
+
+def test_box_filter_agrees_with_the_per_cell_loop():
+    rng = random.Random(10)
+    for _ in range(400):
+        sizes = [rng.randint(0, 4) for _ in range(rng.randint(0, 5))]
+        boxes = [range(c) for c in sizes]
+        thresholds = []
+        for _ in range(rng.randint(0, 4)):
+            dims = rng.sample(range(len(sizes)), rng.randint(0, len(sizes)))
+            thresholds.append([(j, rng.choice([0, sizes[j], rng.randint(0, sizes[j])]))
+                               for j in dims])
+        for case in (thresholds, []):
+            assert box_filter(boxes, case) == _box_filter_by_cell(boxes, case)
 
 
 # --- the sweep tree -----------------------------------------------------------
