@@ -104,6 +104,8 @@ def _cmd_map(args):
 
 def _cmd_verify(args):
     if args.random:
+        if args.system is not None:
+            raise FormatError("verify takes a system file or --random N, not both")
         rng = random.Random(_resolve_seed(args))
         reports = []
         for i in range(args.random):

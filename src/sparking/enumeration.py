@@ -8,18 +8,20 @@ order, together with their ``sigma`` images, off the sweep tree
 checks the images against a target family, and ``enumerate`` lists them.
 The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
 a system) holds each subset's exactly-one pool mask.  ``pool_filter``
-keeps the k-subsets that meet every pool (Q), and refuses more than
-``MAX_CHECK_CANDIDATES`` of them; ``table_sets`` gives a system's parking
-sets that way.  ``mask_families``, the scan, gives both families of a
-bare bitmask family: it alone derives each subset's private-part
-thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep the value
-vectors of the box that beat one threshold of every subset (P).  The box
+keeps the k-subsets that meet every pool (Q); ``table_sets`` gives a
+system's parking sets that way.  ``mask_families``, the scan, gives
+both families of a bare bitmask family: it alone derives each subset's
+private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep the
+value vectors of the box that beat one threshold of every subset (P).  The box
 is one bitset with a bit per value vector, in lexicographic order, and
 each subset clears the vectors that beat none of its thresholds with a
 few big-integer operations.  ``enumerate_parking_functions`` and
 ``enumerate_parking_sets``, which test every candidate against all
 2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
-and the tests use them.
+and the tests use them.  ``_candidate_budget`` refuses as too large, before
+any table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
+more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
+``table_sets``, ``mask_families`` and ``verify_bijection`` call it first.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -30,18 +32,28 @@ it the table's families of every small system of a generator.
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, compress, permutations, product
-from math import comb
+from math import comb, prod
 
 from .bijections import sweep, walk
 from .systems import (
     MAX_CHECK_CANDIDATES,
     VerificationError,
     _peel,
+    _subset_budget,
     _system_over,
     is_parking_function,
     is_parking_set,
     subfamily_table,
 )
+
+
+def _empty_member(family):
+    """Whether some member of ``family`` (sets or masks) is empty, so that
+    no parking function exists; warns so, at the caller's caller."""
+    if all(family):
+        return False
+    warnings.warn("family contains an empty set: no parking functions", stacklevel=3)
+    return True
 
 
 def enumerate_parking_functions(system):
@@ -51,9 +63,7 @@ def enumerate_parking_functions(system):
     entry already fails on the singleton subfamily.  Returns [] with a
     warning when some family member is empty.
     """
-    if any(not a for a in system.sets):
-        warnings.warn("family contains an empty set: no parking functions",
-                      stacklevel=2)
+    if _empty_member(system.sets):
         return []
     boxes = [range(len(a)) for a in system.sets]
     return [f for f in product(*boxes) if is_parking_function(system, f)]
@@ -106,7 +116,9 @@ class VerificationReport:
 
 def verify_bijection(system):
     """Enumerate both families and check the two mappings are mutually
-    inverse between them; failures are report content, never raises."""
+    inverse between them; failures are report content.  Refuses by
+    ``_candidate_budget`` before it enumerates anything."""
+    _candidate_budget(system.k, len(system.covered), prod(map(len, system.sets)))
     functions = enumerate_parking_functions(system)
     sets_ = enumerate_parking_sets(system)
     compiled = system.compiled
@@ -159,9 +171,7 @@ def tree_pairs(system):
     (``bijections.walk``).  Each leaf is certified by the greedy peel
     before it is returned; same empty-member warning as the oracle."""
     masks = system.compiled.masks
-    if not all(masks):
-        warnings.warn("family contains an empty set: no parking functions",
-                      stacklevel=2)
+    if _empty_member(masks):
         return []
     leaves = walk(masks)
     for f, _ in leaves:
@@ -281,19 +291,31 @@ def box_filter(boxes, thresholds):
     return list(compress(product(*boxes), f"{keep:b}"[::-1].encode().translate(_BITS)))
 
 
+def _candidate_budget(k, covered, cells=1):
+    """Refuse a family of k sets over ``covered`` elements before any
+    table is built or any candidate tried: k > ``MAX_CHECK_SETS``, more
+    than ``MAX_CHECK_CANDIDATES`` k-subsets of the covered elements, or
+    more than that many ``cells`` in the value box."""
+    _subset_budget(k)
+    candidates = comb(covered, k)
+    if candidates > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: C({covered}, {k}) = {candidates} candidate sets; "
+            f"filtering the parking sets is capped at {MAX_CHECK_CANDIDATES}")
+    if cells > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: {cells} value vectors in the box; "
+            f"filtering the parking functions is capped at {MAX_CHECK_CANDIDATES}")
+
+
 def pool_filter(masks, pools):
     """The k-subsets of the covered bits that meet every pool, as masks
-    in combination order (k = len(masks)).  Refuses more than
-    ``MAX_CHECK_CANDIDATES`` candidates before trying any."""
+    in combination order (k = len(masks)); ``_candidate_budget`` caps the
+    candidates."""
     union = 0
     for a in masks:
         union |= a
     bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
-    candidates = comb(len(bits), len(masks))
-    if candidates > MAX_CHECK_CANDIDATES:
-        raise ValueError(
-            f"too large: C({len(bits)}, {len(masks)}) = {candidates} candidate sets; "
-            f"filtering the parking sets is capped at {MAX_CHECK_CANDIDATES}")
     pools = list(dict.fromkeys(pools))
     found = []
     for d in map(sum, combinations(bits, len(masks))):
@@ -309,17 +331,24 @@ def mask_families(masks):
     """Both families of one bitmask system from its subfamily table:
     P as value tuples in lexicographic order, Q as masks.  A singleton
     subfamily's threshold is |A_j| itself, which the box always beats,
-    so only the larger subfamilies filter the box."""
+    so only the larger subfamilies filter the box.  Refuses by
+    ``_candidate_budget`` first."""
+    boxes = [range(a.bit_count()) for a in masks]
+    union = 0
+    for a in masks:
+        union |= a
+    _candidate_budget(len(masks), union.bit_count(), prod(map(len, boxes)))
     pools = subfamily_table(masks)
     thresholds = [[(j, (a & pool).bit_count()) for j, a in enumerate(masks) if imask >> j & 1]
                   for imask, pool in enumerate(pools, 1) if imask & imask - 1]
-    return (box_filter([range(a.bit_count()) for a in masks], thresholds),
-            pool_filter(masks, pools))
+    return box_filter(boxes, thresholds), pool_filter(masks, pools)
 
 
 def table_sets(system):
     """The parking sets of ``system`` by ``pool_filter`` over its
-    subfamily table, sorted like the oracle's."""
+    subfamily table, sorted like the oracle's.  Refuses by
+    ``_candidate_budget`` before it builds the table."""
+    _candidate_budget(system.k, len(system.covered))
     compiled = system.compiled
     return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, system.table)),
                   key=sorted)

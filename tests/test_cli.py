@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import sparking
 import sparking.bijections
+import sparking.enumeration
 import sparking.graphs
 from sparking import VerificationError, complete_graph, spanning_tree_bijection, star_sets
 from sparking.cli import main
@@ -150,6 +151,17 @@ def test_verify_random_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("SPARKING_SEED", "12")
     assert main(["verify", "--random", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [[], ["--random", "2"]], ids=["neither", "both"])
+def test_verify_takes_a_file_or_random_but_not_both(argv, u42_file, capsys):
+    # a file given next to --random would be ignored, so it is refused
+    both = bool(argv)
+    assert main(["verify", *([u42_file] if both else []), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: verify takes a system file or --random N, not both\n" if both
+                            else "error: verify needs a system file or --random N\n")
+    assert captured.out == ""
 
 
 def test_matroid_circuit_side(u42_file, tmp_path, capsys):
@@ -294,6 +306,47 @@ def test_enumerate_sets_beyond_the_candidate_cap_is_refused_at_once(tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("error: too large: C(56, 10) = 35607051480 candidate sets;")
     assert result.stdout == ""
+
+
+def _count_table_builds(monkeypatch):
+    """Count ``subfamily_table`` calls, through either module that names it."""
+    builds = []
+    table = sparking.systems.subfamily_table
+
+    def counted(masks):
+        builds.append(len(masks))
+        return table(masks)
+    monkeypatch.setattr(sparking.systems, "subfamily_table", counted)
+    monkeypatch.setattr(sparking.enumeration, "subfamily_table", counted)
+    return builds
+
+
+# twenty 9-element sets, shifted by 4 round 1..82: C(82, 20) ≈ 6.2·10^18 candidates
+WIDE20 = "20 90\n" + "".join(" ".join(str((4 * j + i) % 82 + 1) for i in range(9)) + "\n"
+                             for j in range(20))
+# four copies of 1..60: C(60, 4) = 487,635 candidates but 60^4 value vectors
+BOX60 = "4 60\n" + (" ".join(map(str, range(1, 61))) + "\n") * 4
+
+
+@pytest.mark.parametrize("text, argv, budget, message", [
+    (WIDE20, ["verify"], 1, "error: too large: C(82, 20) = 6208770443303347920 candidate sets;"),
+    (WIDE20, ["enumerate", "--sets"], 1,
+     "error: too large: C(82, 20) = 6208770443303347920 candidate sets;"),
+    (WIDE20, ["enumerate", "--both"], 1,
+     "error: too large: C(82, 20) = 6208770443303347920 candidate sets;"),
+    (BOX60, ["verify"], 2, "error: too large: 12960000 value vectors in the box;"),
+], ids=["wide-verify", "wide-sets", "wide-both", "box-verify"])
+def test_large_input_is_refused_before_any_table_or_candidate(text, argv, budget, message,
+                                                             tmp_path, monkeypatch, capsys):
+    builds = _count_table_builds(monkeypatch)
+    path = tmp_path / "system.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert time.perf_counter() - start < budget
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.out == ""
+    assert builds == []
 
 
 @pytest.mark.parametrize("text, message", [

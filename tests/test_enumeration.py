@@ -248,6 +248,40 @@ def test_table_agrees_with_oracles_on_every_small_system():
     assert checked == 5 + 121 + 2801
 
 
+def _seeded_system(rng):
+    """k = 0..4 sets over 1..m, with 0-2 elements no set covers, an empty
+    member now and then, and identity, shuffled or Fraction weights."""
+    k, m = rng.randint(0, 4), rng.randint(0, 6)
+    sets = [{e for e in range(1, m + 1) if rng.random() < 0.6} for _ in range(k)]
+    if sets and rng.random() < 0.1:
+        sets[rng.randrange(k)] = set()
+    ids = list(range(1, m + rng.randint(0, 2) + 1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        weights = ids
+    elif kind == 1:
+        weights = rng.sample(ids, len(ids))
+    else:
+        weights = [Fraction(n, 7) for n in rng.sample(range(-60, 60), len(ids))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SetSystem(sets, Universe(dict(zip(ids, weights))))
+
+
+def test_table_agrees_with_oracles_on_seeded_systems():
+    # the edge cases the exhaustive corpus lacks: k = 0, empty members and
+    # universe elements that no set covers
+    rng = random.Random(11)
+    seen = {"empty member": 0, "k = 0": 0, "inert": 0}
+    for _ in range(2000):
+        system = _seeded_system(rng)
+        _check_table(system)
+        seen["empty member"] += not all(system.sets)
+        seen["k = 0"] += system.k == 0
+        seen["inert"] += len(system.universe) > len(system.covered)
+    assert all(seen.values())
+
+
 def test_table_lists_subsets_in_bitmask_order():
     table = subfamily_table((0b0111, 0b1011))          # u42: {1,2,3} and {1,2,4}
     assert table == [0b0111, 0b1011, 0b1100]

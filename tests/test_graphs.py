@@ -7,6 +7,8 @@ import pytest
 from sparking import (
     Multigraph,
     PreconditionError,
+    SetSystem,
+    Universe,
     classic_correspondence,
     classic_parking_functions,
     complete_graph,
@@ -16,6 +18,7 @@ from sparking import (
     graphic_matroid,
     is_g_parking_function,
     random_connected_multigraph,
+    sigma,
     spanning_tree_bijection,
     spanning_trees,
     star_sets,
@@ -301,6 +304,30 @@ def test_face_bijection_two_triangles(two_triangles):
     assert len(pairs) == 8
     assert {t for _, t in pairs} == set(spanning_trees(two_triangles))
     assert len(spanning_trees(two_triangles)) == 8
+
+
+@pytest.mark.parametrize("side", ["stars", "faces"])
+def test_tree_bijections_follow_a_reversed_weight_order(side, two_triangles):
+    # heavier edges are swept first: the same trees, paired otherwise, and
+    # each pair is the sigma image (complemented on the face side) under
+    # the reversed weights
+    if side == "stars":
+        graph = complete_graph(4)
+        parts = star_sets(graph)
+        bijection = lambda weights=None: spanning_tree_bijection(graph, weights)
+    else:
+        graph = two_triangles
+        parts = [{1, 2, 3}, {3, 4, 5}]
+        bijection = lambda weights=None: face_boundary_bijection(graph, parts, weights)
+    reversed_weights = {e: -e for e in graph.edge_ids}
+    pairs, plain = bijection(reversed_weights), bijection()
+    trees = [t for _, t in pairs]
+    assert len(set(trees)) == len(trees) and set(trees) == set(spanning_trees(graph))
+    assert pairs != plain and {f for f, _ in pairs} == {f for f, _ in plain}
+    system = SetSystem(parts, Universe(reversed_weights))
+    for f, tree in pairs:
+        image = sigma(system, f)[0]
+        assert (image if side == "stars" else graph.edge_ids - image) == tree
 
 
 def test_face_bijection_rejects_tree_input():
