@@ -60,7 +60,8 @@ def _cmd_enumerate(args):
     system = load_set_system(_read(args.system))
     # the sets come off the subfamily table, which refuses k beyond its
     # cap, so they are taken before the functions walk the sweep tree
-    sets = None if args.which == "functions" else [sorted(d) for d in table_sets(system)]
+    sets = None if args.which == "functions" else sorted(
+        sorted(system.compiled.elements_of(d)) for d in table_sets(system))
     families = {}
     if args.which != "sets":
         families["functions"] = [list(f) for f, _ in tree_pairs(system)]

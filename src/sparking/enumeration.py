@@ -5,11 +5,12 @@ that the two mappings are inverse bijections between them.
 order, together with their ``sigma`` images, off the sweep tree
 (``bijections.walk``), and certifies each by the greedy peel;
 ``paired_images`` pairs them for the matroid and graph bijections and
-checks the images against a target family, and ``enumerate`` lists them.
-The subfamily table (``systems.subfamily_table``; ``SetSystem.table`` for
-a system) holds each subset's exactly-one pool mask.  ``pool_filter``
-keeps the k-subsets that meet every pool (Q); ``table_sets`` gives a
-system's parking sets that way.  ``mask_families``, the scan, gives
+checks the image masks against a target family of masks, and
+``enumerate`` lists them.  The subfamily table
+(``systems.subfamily_table``; ``SetSystem.table`` for a system) holds
+each subset's exactly-one pool mask.  ``pool_filter`` keeps the
+k-subsets that meet every pool (Q); ``table_sets`` gives a system's
+parking sets that way, as masks.  ``mask_families``, the scan, gives
 both families of a bare bitmask family: it alone derives each subset's
 private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep the
 value vectors of the box that beat one threshold of every subset (P).  The box
@@ -21,7 +22,8 @@ few big-integer operations.  ``enumerate_parking_functions`` and
 and the tests use them.  ``_candidate_budget`` refuses as too large, before
 any table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
 more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
-``table_sets``, ``mask_families`` and ``verify_bijection`` call it first.
+``table_sets``, ``mask_families`` and ``verify_bijection`` call it first,
+and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -45,6 +47,10 @@ from .systems import (
     is_parking_set,
     subfamily_table,
 )
+
+# The oracles test each candidate against up to 2^k subfamilies;
+# ``verify_bijection`` refuses more candidate-subfamily pairs than this.
+MAX_ORACLE_PAIRS = 10 ** 8
 
 
 def _empty_member(family):
@@ -117,8 +123,15 @@ class VerificationReport:
 def verify_bijection(system):
     """Enumerate both families and check the two mappings are mutually
     inverse between them; failures are report content.  Refuses by
-    ``_candidate_budget`` before it enumerates anything."""
-    _candidate_budget(system.k, len(system.covered), prod(map(len, system.sets)))
+    ``_candidate_budget``, and more than ``MAX_ORACLE_PAIRS`` box cells or
+    candidate sets times 2^k subfamilies, before it enumerates anything."""
+    k, covered, cells = system.k, len(system.covered), prod(map(len, system.sets))
+    _candidate_budget(k, covered, cells)
+    for count, what in ((cells, "value vectors"), (comb(covered, k), "candidate sets")):
+        if count << k > MAX_ORACLE_PAIRS:
+            raise ValueError(
+                f"too large: {count} {what} times 2^{k} subfamilies; checking them by "
+                f"definition is capped at {MAX_ORACLE_PAIRS} pairs")
     functions = enumerate_parking_functions(system)
     sets_ = enumerate_parking_sets(system)
     compiled = system.compiled
@@ -180,19 +193,24 @@ def tree_pairs(system):
     return leaves
 
 
-def paired_images(system, target, transform=None):
-    """Pair every parking function with its ``sigma`` image, passed
-    through ``transform`` when given, and check that the images hit each
-    member of ``target`` exactly once; raises VerificationError if not."""
-    elements_of = system.compiled.elements_of
-    transform = transform or (lambda image: image)
-    pairs = [(f, transform(elements_of(d))) for f, d in tree_pairs(system)]
-    images = {image for _, image in pairs}
-    if len(images) != len(pairs):
+def paired_images(system, target, xor=0, weighted=None):
+    """Pair every parking function with the mask of its ``sigma`` image
+    xor ``xor``, over ``system.compiled``, and check that these hit each
+    mask of ``target`` exactly once; raises VerificationError if not.
+    ``weighted``, the family over other weights, is swept instead when
+    given, each image carried over through its element set."""
+    compiled = system.compiled
+    if weighted is None:
+        leaves = tree_pairs(system)
+    else:
+        elements_of = weighted.compiled.elements_of
+        leaves = [(f, compiled.mask_of(elements_of(d))) for f, d in tree_pairs(weighted)]
+    images = {d ^ xor for _, d in leaves}
+    if len(images) != len(leaves):
         raise VerificationError("bijection image has a collision")
     if images != set(target):
         raise VerificationError("bijection image differs from the target family")
-    return pairs
+    return [(f, compiled.elements_of(d ^ xor)) for f, d in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +364,11 @@ def mask_families(masks):
 
 def table_sets(system):
     """The parking sets of ``system`` by ``pool_filter`` over its
-    subfamily table, sorted like the oracle's.  Refuses by
-    ``_candidate_budget`` before it builds the table."""
+    subfamily table, as masks over ``system.compiled`` in combination
+    order of its bits.  Refuses by ``_candidate_budget`` before it builds
+    the table."""
     _candidate_budget(system.k, len(system.covered))
-    compiled = system.compiled
-    return sorted((compiled.elements_of(d) for d in pool_filter(compiled.masks, system.table)),
-                  key=sorted)
+    return pool_filter(system.compiled.masks, system.table)
 
 
 @dataclass

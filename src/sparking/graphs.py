@@ -1,7 +1,8 @@
 """Multigraphs, their matroids, vertex stars and the tree bijections.
 
 Vertices are labeled 0..n with 0 as the root.  Spanning trees are
-enumerated by brute force and cross-checkable against a
+enumerated by brute force, refused beyond ``MAX_CHECK_CANDIDATES``
+candidate edge sets, and cross-checkable against a
 deletion-contraction count.  The star sets of the non-root vertices
 form the cocircuit-side family whose parking functions are exactly the
 degree-defined parking functions of the graph and whose mapped sets are
@@ -15,17 +16,19 @@ G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
 Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
 no cap on the vertex count; the star side of the equivalence is the
 star system's sweep tree, so the two lists are computed by different
-algorithms.  The face-boundary bijection reads its cover precondition
-off the exactly-one pools of the boundary system's subfamily table.
+algorithms.  The face-boundary bijection is the circuit side of the
+graphic matroid (``matroids._checked_side``): its cover precondition
+comes off the exactly-one pools of the boundary system's subfamily table.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb, prod
 
 from .bijections import walk
 from .enumeration import paired_images
-from .matroids import Matroid, PreconditionError, _independent_row
-from .systems import _subset_budget, _system_over
+from .matroids import Matroid, PreconditionError, _checked_side, _independent_row
+from .systems import MAX_CHECK_CANDIDATES, _subset_budget, _system_over
 
 
 class Multigraph:
@@ -99,13 +102,18 @@ def _spans_without_cycle(edge_list, n_vertices):
 
 
 def spanning_trees(graph):
-    """All spanning-tree edge sets, brute force over (n_vertices-1)-subsets."""
+    """All spanning-tree edge sets, brute force over (n_vertices-1)-subsets
+    of the non-loop edges, sorted by their sorted edge-id tuples.  Refuses
+    more than ``MAX_CHECK_CANDIDATES`` subsets before it tries any."""
     if not graph.is_connected():
         raise ValueError("graph is not connected")
     n = graph.n_vertices - 1
-    if n == 0:
-        return [frozenset()]
-    non_loop = [e for e in graph.edges if e[1] != e[2]]
+    non_loop = sorted(e for e in graph.edges if e[1] != e[2])
+    candidates = comb(len(non_loop), n)
+    if candidates > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: C({len(non_loop)}, {n}) = {candidates} candidate edge sets; "
+            f"listing the spanning trees is capped at {MAX_CHECK_CANDIDATES}")
     return [frozenset(edge[0] for edge in combo)
             for combo in combinations(non_loop, n)
             if _spans_without_cycle(combo, graph.n_vertices)]
@@ -142,21 +150,23 @@ def graphic_matroid(graph):
     """Matroid on the edge ids whose bases are the spanning trees; loops
     live in the ground set but in no basis.  The rank of an edge set is
     the number of merges union-find makes along it (n minus the number
-    of components it leaves)."""
-    ends = {e: (u, v) for e, u, v in graph.edges}
+    of components it leaves); bit b stands for the b-th smallest edge id."""
+    compiled = _system_over(graph.edge_ids, ()).compiled
+    ends = [(u, v) for _, u, v in sorted(graph.edges)]
 
-    def rank(edges):
+    def rank(mask):
         parent = list(range(graph.n_vertices))
         merges = 0
-        for e in edges:
-            u, v = ends[e]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                merges += 1
+        for b, (u, v) in enumerate(ends):
+            if mask >> b & 1:
+                ru, rv = _find(parent, u), _find(parent, v)
+                if ru != rv:
+                    parent[ru] = rv
+                    merges += 1
         return merges
 
-    return Matroid._by_construction(graph.edge_ids, spanning_trees(graph), rank)
+    return Matroid._by_construction(graph.edge_ids, map(compiled.mask_of, spanning_trees(graph)),
+                                    rank)
 
 
 def star_sets(graph):
@@ -237,6 +247,11 @@ def g_parking_equals_s_parking(graph):
     # the walk's leaves are not peeled here: the burning list checks them
     system = star_system(graph)
     _subset_budget(system.k)
+    cells = prod(map(len, system.sets))
+    if cells > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: {cells} value vectors in the star box; "
+            f"burning them is capped at {MAX_CHECK_CANDIDATES}")
     star_defined = [f for f, _ in walk(system.compiled.masks)]
     degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
@@ -270,9 +285,10 @@ def spanning_tree_bijection(graph, weights=None):
     those are exactly the spanning trees, each hit once."""
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
-    system = star_system(graph, weights)
+    weighted = None if weights is None else star_system(graph, weights)
+    system = star_system(graph)
     _subset_budget(system.k)
-    return paired_images(system, spanning_trees(graph))
+    return paired_images(system, map(system.compiled.mask_of, spanning_trees(graph)), 0, weighted)
 
 
 def face_boundary_bijection(graph, boundaries, weights=None):
@@ -296,16 +312,15 @@ def face_boundary_bijection(graph, boundaries, weights=None):
         raise PreconditionError(
             f"got {len(boundaries)} face sets, need k = |E| - |V| + 1 = {expected}")
     _subset_budget(expected)
-    matroid = graphic_matroid(graph)
-    for i, b in enumerate(boundaries, start=1):
-        if not matroid.is_union_of_circuits(b):
-            raise PreconditionError(f"face set {i} is not a union of cycles")
-    system = _system_over(graph.edge_ids, boundaries, weights)
-    imask = _independent_row(system, matroid)
+    side = _checked_side(graphic_matroid(graph), boundaries, "circuit", weights)
+    if side.non_union is not None:
+        raise PreconditionError(f"face set {side.non_union} is not a union of cycles")
+    imask = _independent_row(side.system, side.matroid)
     if imask is not None:
-        faces = [j + 1 for j in range(system.k) if imask >> j & 1]
+        faces = [j + 1 for j in range(expected) if imask >> j & 1]
         raise PreconditionError(f"exactly-one set of face sets {faces} contains no cycle")
-    return paired_images(system, matroid.bases, lambda image: matroid.ground - image)
+    # every pool holds a cycle, so no basis contains one: all bases survive
+    return paired_images(side.system, side.matroid._masks, side.xor, side.weighted)
 
 
 def random_connected_multigraph(rng, max_vertices=5, max_edges=8):

@@ -1,24 +1,23 @@
 """Finite matroids given by basis lists, with a rank function.
 
-A matroid keeps its bases and ranks sets by the rule of its
-construction: ``uniform_matroid`` by min(|S|, r), ``graphic_matroid`` by
-union-find, ``dual`` by r*(X) = |X| - r(E) + r(E - X), and an explicit
-``Matroid(...)`` by the max over its bases.  Circuits and cocircuits
-still come from subset scans, which is the point: everything here exists
-to verify the parking-set/basis identities and the induced bijections on
-desk-scale instances.  A side of the theorem is computed once per call
-by ``_checked_side``: one system of the parts, over the matroid's one
-identity universe unless weights are given, whose subfamily table
-(``SetSystem.table``), one exactly-one pool mask per subfamily, gives
-the parking sets, the bracket on the reference matroid (the dual on the
-cocircuit side) and the full-cover check; the theorem bijection pairs the
-parking functions off the sweep tree (``enumeration.paired_images``).
+A matroid keeps its bases once, as masks over the bit order of its
+identity universe (``Matroid._identity``), and ranks masks by the rule of
+its construction: ``uniform_matroid`` by min(|S|, r), ``graphic_matroid``
+by union-find, ``dual`` by r*(X) = |X| - r(E) + r(E - X), and an explicit
+``Matroid(...)`` by the max over its bases; ``bases`` decodes them for the
+public API.  Circuits and cocircuits still come from subset scans, which
+is the point: everything here exists to verify the parking-set/basis
+identities and the induced bijections on desk-scale instances.  A side of
+the theorem is set up once per call by ``_checked_side``: one system of
+the parts over that universe, whose subfamily table gives the parking
+sets, the bracket on the reference matroid (the dual on the cocircuit
+side, computed on first use) and the full-cover check, all as masks in
+the bases' bit order.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple
 
 from .enumeration import paired_images, table_sets
 from .systems import SetSystem, VerificationError, _system_over
@@ -39,36 +38,37 @@ class Matroid:
     in the ground set, share one cardinality and satisfy the
     basis-exchange axiom, and ranks a set by the max over the bases.
     ``uniform_matroid``, ``graphic_matroid`` and ``dual`` are matroids by
-    construction: they skip the O(B²·r²) exchange check, keeping the
-    others, and pass the rank formula of their construction.
+    construction: they skip these checks and pass the basis masks and the
+    rank formula of their construction.
     """
 
     def __init__(self, ground, bases):
-        self._store(ground, bases, self._rank_over_bases)
+        self.ground = frozenset(ground)
+        unique = sorted({frozenset(b) for b in bases}, key=sorted)
+        if not unique:
+            raise ValueError("a matroid needs at least one basis")
+        for b in unique:
+            if not b <= self.ground:
+                raise ValueError(f"basis {sorted(b)} is not inside the ground set")
+        if len({len(b) for b in unique}) != 1:
+            raise ValueError("all bases must have the same cardinality")
+        self._store(map(self._identity.compiled.mask_of, unique), self._rank_over_bases)
         self._check_exchange()
 
     @classmethod
-    def _by_construction(cls, ground, bases, rank):
-        """A matroid whose bases satisfy exchange by construction, ranked
-        by ``rank``, a function of a frozenset inside the ground set."""
+    def _by_construction(cls, ground, masks, rank):
+        """A matroid whose bases satisfy exchange by construction, given as
+        ``masks`` in the order of their sorted element tuples and ranked
+        by ``rank``, a function of a mask."""
         matroid = cls.__new__(cls)
-        matroid._store(ground, bases, rank)
+        matroid.ground = frozenset(ground)
+        matroid._store(masks, rank)
         return matroid
 
-    def _store(self, ground, bases, rank):
+    def _store(self, masks, rank):
         self._rank = rank
-        self.ground = frozenset(ground)
-        unique = {frozenset(b) for b in bases}
-        if not unique:
-            raise ValueError("a matroid needs at least one basis")
-        self.bases = tuple(sorted(unique, key=sorted))
-        for b in self.bases:
-            if not b <= self.ground:
-                raise ValueError(f"basis {sorted(b)} is not inside the ground set")
-        cardinalities = {len(b) for b in self.bases}
-        if len(cardinalities) != 1:
-            raise ValueError("all bases must have the same cardinality")
-        self.rank_value = cardinalities.pop()
+        self._masks = tuple(masks)
+        self.rank_value = self._masks[0].bit_count()
 
     def _check_exchange(self):
         pool = set(self.bases)
@@ -79,15 +79,29 @@ class Matroid:
                         raise ValueError(
                             f"basis exchange fails for {sorted(b1)} / {sorted(b2)} at {x}")
 
-    def _rank_over_bases(self, s):
-        return max(len(b & s) for b in self.bases)
+    def _rank_over_bases(self, mask):
+        return max((b & mask).bit_count() for b in self._masks)
 
-    def rank(self, subset):
-        """Largest independent portion of ``subset``."""
+    @cached_property
+    def _identity(self):
+        """An empty system over identity weights on the ground set: the
+        bases' bit order; every unweighted parts system is built from it."""
+        return _system_over(self.ground, ())
+
+    @cached_property
+    def bases(self):
+        """The bases as element sets, sorted by their sorted element tuples."""
+        return tuple(map(self._identity.compiled.elements_of, self._masks))
+
+    def _mask(self, subset):
         s = frozenset(subset)
         if not s <= self.ground:
             raise ValueError("subset must lie inside the ground set")
-        return self._rank(s)
+        return self._identity.compiled.mask_of(s)
+
+    def rank(self, subset):
+        """Largest independent portion of ``subset``."""
+        return self._rank(self._mask(subset))
 
     @cached_property
     def circuits(self):
@@ -106,16 +120,11 @@ class Matroid:
     @cached_property
     def dual(self):
         """Matroid whose bases are the complements of this one's, ranked by
-        r*(X) = |X| - r(E) + r(E - X) (Oxley, Matroid Theory, 2nd ed., §2.1)."""
-        ground, full, rank = self.ground, self.rank_value, self._rank
-        return Matroid._by_construction(ground, [ground - b for b in self.bases],
-                                        lambda s: len(s) - full + rank(ground - s))
-
-    @cached_property
-    def _identity(self):
-        """An empty system over identity weights on the ground set: every
-        unweighted parts system is built from it and shares its universe."""
-        return _system_over(self.ground, ())
+        r*(X) = |X| - r(E) + r(E - X) (Oxley, Matroid Theory, 2nd ed., §2.1).
+        Complementing equal-size sets reverses their order."""
+        full, r, rank = (1 << len(self.ground)) - 1, self.rank_value, self._rank
+        return Matroid._by_construction(self.ground, [full ^ m for m in reversed(self._masks)],
+                                        lambda m: m.bit_count() - r + rank(full ^ m))
 
     @cached_property
     def cocircuits(self):
@@ -124,22 +133,19 @@ class Matroid:
     def is_union_of_circuits(self, subset):
         """True when deleting any single element keeps the rank unchanged;
         vacuously true for the empty set."""
-        s = frozenset(subset)
-        if not s <= self.ground:
-            raise ValueError("subset must lie inside the ground set")
-        full = self.rank(s) if s else 0
-        return all(self.rank(s - {e}) == full for e in s)
+        m = self._mask(subset)
+        full = self._rank(m)
+        return all(self._rank(m ^ 1 << b) == full for b in range(m.bit_length()) if m >> b & 1)
 
     def bases_containing(self, subset):
         """Bases that contain ``subset``; empty exactly when it holds a circuit."""
-        s = frozenset(subset)
-        if not s <= self.ground:
-            raise ValueError("subset must lie inside the ground set")
-        return [b for b in self.bases if s <= b]
+        m = self._mask(subset)
+        return [b for b, mask in zip(self.bases, self._masks) if mask & m == m]
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        return _bracket(self, _parts_system(self, _checked_parts(self, parts)))
+        bracket = _bracket(self, self._identity.with_sets(_checked_parts(self, parts)))
+        return [b for b, mask in zip(self.bases, self._masks) if mask in bracket]
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
@@ -148,22 +154,22 @@ class Matroid:
 
     def __eq__(self, other):
         return (isinstance(other, Matroid) and self.ground == other.ground
-                and set(self.bases) == set(other.bases))
+                and self._masks == other._masks)
 
     def __hash__(self):
-        return hash((self.ground, frozenset(self.bases)))
+        return hash((self.ground, self._masks))
 
     def __repr__(self):
-        return f"Matroid(|E|={len(self.ground)}, rank={self.rank_value}, bases={len(self.bases)})"
+        return f"Matroid(|E|={len(self.ground)}, rank={self.rank_value}, bases={len(self._masks)})"
 
 
 def uniform_matroid(n, r):
     """Ground set 1..n with every r-subset a basis."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
-    ground = range(1, n + 1)
-    return Matroid._by_construction(ground, [frozenset(c) for c in combinations(ground, r)],
-                                    lambda s: min(len(s), r))
+    return Matroid._by_construction(range(1, n + 1),
+                                    map(sum, combinations([1 << b for b in range(n)], r)),
+                                    lambda m: min(m.bit_count(), r))
 
 
 def _checked_parts(matroid, parts):
@@ -174,21 +180,11 @@ def _checked_parts(matroid, parts):
     return parts
 
 
-def _parts_system(matroid, parts, weights=None):
-    """The system of ``parts``, over the matroid's identity universe
-    unless ``weights`` are given."""
-    if weights is None:
-        return matroid._identity.with_sets(parts)
-    return _system_over(matroid.ground, parts, weights)
-
-
 def _bracket(matroid, system):
-    """``bases_bracket`` of the parts of ``system``, off its subfamily
-    table: a basis is kept when some pool mask lies inside its mask."""
-    mask_of = system.compiled.mask_of
+    """The basis masks of ``bases_bracket`` of the parts of ``system``, off
+    its subfamily table: a basis is kept when some pool mask lies inside."""
     pools = set(system.table)
-    return [b for b, m in zip(matroid.bases, map(mask_of, matroid.bases))
-            if any(pool & m == pool for pool in pools)]
+    return {m for m in matroid._masks if any(pool & m == pool for pool in pools)}
 
 
 @dataclass
@@ -228,47 +224,60 @@ _FORMS = {"circuit": ("complements-of-parking-sets", "bases-and-complements"),
           "cocircuit": ("parking-sets", "bases-and-parking-sets")}
 
 
-class _Side(NamedTuple):
+@dataclass
+class _Side:
     """One side of the theorem for one parts family, from ``_checked_side``."""
     matroid: Matroid
     name: str            # "circuit" or "cocircuit"
-    system: SetSystem    # the parts, weighted
+    system: SetSystem    # the parts, over the matroid's identity universe
+    weighted: object     # the parts over the caller's weights, or None
     reference: Matroid   # ``matroid``, or its dual on the cocircuit side
-    target: frozenset    # the surviving bases of ``matroid``
-    transform: object    # mapped parking set -> its basis
+    xor: int             # mapped parking set ^ xor = its basis: the ground's mask, or 0
     non_union: object    # index of the first part not a union of circuits of reference, or None
+
+    @cached_property
+    def target(self):
+        """The masks of the surviving bases of ``matroid``: the reference's
+        bases outside its bracket, complemented back on the cocircuit side."""
+        survivors = frozenset(self.reference._masks).difference(_bracket(self.reference, self.system))
+        if self.name == "circuit":
+            return survivors
+        full = (1 << len(self.matroid.ground)) - 1
+        return frozenset(full ^ m for m in survivors)
 
     def identity(self):
         """The identity report: the surviving bases against the mapped
         parking sets, intersected with the bases unless all parts are unions."""
         unions = self.non_union is None
-        rhs = frozenset(map(self.transform, table_sets(self.system)))
+        rhs = {d ^ self.xor for d in table_sets(self.system)}
         if not unions:
-            rhs &= frozenset(self.matroid.bases)
+            rhs.intersection_update(self.matroid._masks)
+        decode = self.system.compiled.elements_of
+        lhs = frozenset(map(decode, self.target))
         return BasesIdentityReport(self.name, _FORMS[self.name][not unions],
-                                   self.system.sets, unions, self.target, rhs)
+                                   self.system.sets, unions, lhs,
+                                   lhs if rhs == self.target else frozenset(map(decode, rhs)))
 
     def theorem(self):
         """The theorem bijection's pairs, checked against the surviving
         bases; refuses a part that is not a union."""
         if self.non_union is not None:
             raise PreconditionError(f"part {self.non_union} is not a union of {self.name}s")
-        return paired_images(self.system, self.target, self.transform)
+        return paired_images(self.system, self.target, self.xor, self.weighted)
 
     def cover(self):
         """Whether no exactly-one set is independent in the reference,
         checked against the surviving bases (call after ``theorem``)."""
         cover = _independent_row(self.system, self.reference) is None
-        if cover != (self.target == frozenset(self.matroid.bases)):
+        if cover != self.target.issuperset(self.matroid._masks):
             raise VerificationError(
                 "full cover disagrees with the surviving-basis family")
         return cover
 
 
 def _checked_side(matroid, parts, side, weights=None):
-    """Check the side's part count and compute the side once.  The
-    surviving bases avoid the reference's bracket, complemented back on
-    the cocircuit side."""
+    """Check the side's part count and set up the side once; its surviving
+    bases are computed on first use."""
     parts = _checked_parts(matroid, parts)
     k = len(parts)
     if side == "circuit":
@@ -276,29 +285,26 @@ def _checked_side(matroid, parts, side, weights=None):
         if k != expected:
             raise PreconditionError(
                 f"circuit side needs k = |ground| - rank = {expected}, got k = {k}")
-        reference, transform = matroid, lambda image: matroid.ground - image
+        reference, xor = matroid, (1 << len(matroid.ground)) - 1
     elif side == "cocircuit":
         if k != matroid.rank_value:
             raise PreconditionError(
                 f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {k}")
-        reference, transform = matroid.dual, lambda image: image
+        reference, xor = matroid.dual, 0
     else:
         raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
     non_union = next((i for i, p in enumerate(parts, start=1)
                       if not reference.is_union_of_circuits(p)), None)
-    system = _parts_system(matroid, parts, weights)
-    survivors = frozenset(reference.bases).difference(_bracket(reference, system))
-    if side == "cocircuit":
-        survivors = frozenset(matroid.ground - b for b in survivors)
-    return _Side(matroid, side, system, reference, survivors, transform, non_union)
+    weighted = None if weights is None else _system_over(matroid.ground, parts, weights)
+    return _Side(matroid, side, matroid._identity.with_sets(parts), weighted, reference, xor,
+                 non_union)
 
 
 def _independent_row(system, reference):
     """The bitmask of the first subfamily, in ``system.table`` order, whose
     exactly-one set is independent (circuit-free) in ``reference``, or None."""
-    elements_of = system.compiled.elements_of
     return next((imask for imask, pool in enumerate(system.table, 1)
-                 if reference.rank(elements_of(pool)) == pool.bit_count()), None)
+                 if reference._rank(pool) == pool.bit_count()), None)
 
 
 def parking_sets_vs_bases_circuit_side(matroid, parts):
@@ -373,7 +379,7 @@ def find_cocircuit_cover_families(matroid, limit=1):
 
     def dependent(once, twice):
         pool = once & ~twice
-        return dual.rank(compiled.elements_of(pool)) < pool.bit_count()
+        return dual._rank(pool) < pool.bit_count()
 
     def extend(prefix, folds, start):
         # folds: the (once, twice) fold of every subfamily of the prefix,

@@ -9,6 +9,7 @@ reductions the mapping algorithms lean on, and the weight rank ``delta``.
 sweep and the certificates' greedy peel run on it, and its
 ``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
 pool mask per subfamily for the enumeration, matroid and graph layers.
+Its bits cover the whole universe, so systems over one universe share them.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -129,8 +130,9 @@ class SetSystem:
 
     @cached_property
     def compiled(self):
-        """Bitmask form of the family, built on first use."""
-        order = tuple(sorted(self._covered, key=self._universe.weight))
+        """Bitmask form of the family, built on first use; every universe
+        element gets a bit, an uncovered one a bit no member holds."""
+        order = tuple(sorted(self._universe.elements, key=self._universe.weight))
         bit = {e: 1 << b for b, e in enumerate(order)}
         return Compiled(order, bit, tuple(sum(bit[e] for e in s) for s in self._sets))
 
@@ -161,17 +163,23 @@ class SetSystem:
 
 class Compiled(NamedTuple):
     """A family as bitmasks: bit b stands for ``order[b]``, the b-th
-    lightest covered element, so the lowest set bit is the lightest."""
+    lightest universe element, so the lowest set bit is the lightest."""
     order: tuple
     bit: dict
     masks: tuple
 
     def mask_of(self, elements):
-        """Mask of ``elements``; elements outside the family get no bit."""
+        """Mask of ``elements``; elements outside the universe get no bit."""
         return sum(self.bit.get(e, 0) for e in frozenset(elements))
 
     def elements_of(self, mask):
-        return frozenset(e for b, e in enumerate(self.order) if mask >> b & 1)
+        """The elements of the set bits of ``mask``, visiting only those."""
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(self.order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(found)
 
 
 def _system_over(ground, sets, weights=None):

@@ -26,6 +26,7 @@ from sparking.enumeration import (
     enumerate_parking_sets,
     mask_families,
     random_set_system,
+    tree_pairs,
 )
 from sparking.systems import ParkingSetCertificate, exactly_one_sets
 
@@ -330,3 +331,27 @@ def test_sweep_agrees_with_the_refolding_sweep_on_every_small_system():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_sweep_agrees_with_the_refolding_sweep_on_the_star_systems(n):
     _check_sweep_against_refolding(star_system(complete_graph(n)).compiled.masks)
+
+
+def test_uncovered_universe_elements_change_no_sweep():
+    # the compiled bits run over the whole universe: the uncovered elements
+    # 1, 3, 5 and 7 get bits that no member mask holds, and sigma, rho and
+    # their traces are those of the system over the covered elements alone
+    universe = Universe({e: 10 - e for e in range(1, 10)})
+    system = SetSystem([{2, 4}, {6, 8}, {2, 6, 9}], universe)
+    compiled = system.compiled
+    assert compiled.order == (9, 8, 7, 6, 5, 4, 3, 2, 1)
+    held = 0
+    for mask in compiled.masks:
+        held |= mask
+    assert held == compiled.mask_of(system.covered)
+    assert all(compiled.bit[e] & ~held for e in (1, 3, 5, 7))
+    narrow = SetSystem(system.sets, Universe({e: 10 - e for e in system.covered}))
+    pairs = tree_pairs(system)
+    assert len(pairs) == 8 and [f for f, _ in pairs] == [f for f, _ in tree_pairs(narrow)]
+    for f, d in pairs:
+        image, trace = sigma(system, f)
+        assert image == compiled.elements_of(d)
+        assert (image, trace) == sigma(narrow, f)
+        counters, back = rho(system, image)
+        assert counters == f and (counters, back) == rho(narrow, image)

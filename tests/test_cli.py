@@ -294,6 +294,28 @@ def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["graph", "matroid"])
+def test_k12_spanning_trees_are_refused_at_once(command, tmp_path, capsys):
+    # 11 star sets pass the table's cap, but listing the trees would try
+    # C(66, 11) edge subsets
+    k12 = complete_graph(12)
+    path = tmp_path / "k12.txt"
+    path.write_text("vertices 12\n" + "".join(f"{e} {u} {v}\n" for e, u, v in k12.edges))
+    argv = ["graph", str(path)]
+    if command == "matroid":
+        stars = tmp_path / "stars.txt"
+        stars.write_text("11 66\n" + "".join(" ".join(map(str, sorted(s))) + "\n"
+                                             for s in star_sets(k12)))
+        argv = ["matroid", f"graphic:{path}", "--parts", str(stars), "--side", "cocircuit"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: too large: C(66, 11) = 1074082795968 candidate edge sets;")
+    assert captured.out == ""
+
+
 def test_enumerate_sets_beyond_the_candidate_cap_is_refused_at_once(tmp_path):
     # ten 12-element sets cover 56 of the elements 1..60: the parking sets
     # would be filtered out of C(56, 10) ≈ 3.6·10^10 candidates
@@ -326,6 +348,9 @@ WIDE20 = "20 90\n" + "".join(" ".join(str((4 * j + i) % 82 + 1) for i in range(9
                              for j in range(20))
 # four copies of 1..60: C(60, 4) = 487,635 candidates but 60^4 value vectors
 BOX60 = "4 60\n" + (" ".join(map(str, range(1, 61))) + "\n") * 4
+# the path {i, i+1}, i = 1..20: within every cap above, but the oracles
+# would test 2^20 value vectors against 2^20 subfamilies each
+PATH20 = "20 21\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 21))
 
 
 @pytest.mark.parametrize("text, argv, budget, message", [
@@ -335,7 +360,9 @@ BOX60 = "4 60\n" + (" ".join(map(str, range(1, 61))) + "\n") * 4
     (WIDE20, ["enumerate", "--both"], 1,
      "error: too large: C(82, 20) = 6208770443303347920 candidate sets;"),
     (BOX60, ["verify"], 2, "error: too large: 12960000 value vectors in the box;"),
-], ids=["wide-verify", "wide-sets", "wide-both", "box-verify"])
+    (PATH20, ["verify"], 1,
+     "error: too large: 1048576 value vectors times 2^20 subfamilies;"),
+], ids=["wide-verify", "wide-sets", "wide-both", "box-verify", "path-verify"])
 def test_large_input_is_refused_before_any_table_or_candidate(text, argv, budget, message,
                                                              tmp_path, monkeypatch, capsys):
     builds = _count_table_builds(monkeypatch)

@@ -23,6 +23,7 @@ from sparking import (
     spanning_trees,
     star_sets,
     star_system,
+    theorem_bijection,
 )
 from sparking.enumeration import enumerate_parking_functions, enumerate_parking_sets
 from sparking.matroids import corollary_full_cover
@@ -402,3 +403,51 @@ def test_tree_counts_line_up_on_random_corpus():
         assert len(enumerate_parking_functions(star_system(g))) == n_trees
         report = g_parking_equals_s_parking(g)
         assert report.equal and report.count == n_trees
+
+
+def test_face_weights_may_leave_out_an_edge_outside_every_face(two_triangles):
+    # the pendant edge 6 lies in every spanning tree and in no face, and the
+    # weights leave it out: each image is carried into the graph's bit order
+    # through its element set, so the trees keep edge 6
+    graph = Multigraph(5, two_triangles.edges + ((6, 3, 4),))
+    faces, weights = [{1, 2, 3}, {3, 4, 5}], {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+    pairs = face_boundary_bijection(graph, faces, weights)
+    assert pairs == theorem_bijection(graphic_matroid(graph), faces, "circuit", weights=weights)
+    trees = [t for _, t in pairs]
+    assert len(set(trees)) == len(trees) == 8 and set(trees) == set(spanning_trees(graph))
+    assert dict(pairs)[(0, 0)] == {1, 2, 4, 6}
+    system = SetSystem(faces, Universe(weights))
+    assert all(graph.edge_ids - sigma(system, f)[0] == t for f, t in pairs)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reversed"])
+def test_star_bijection_is_the_cocircuit_theorem(reverse):
+    # the graph layer pairs the stars over the edge ids, the matroid layer
+    # over the graphic matroid's bit order: the same pairs either way
+    rng = random.Random(12)
+    graphs = [complete_graph(n) for n in range(3, 7)]
+    graphs += [random_connected_multigraph(rng, 5, 9) for _ in range(40)]
+    assert any(u == v for g in graphs for _, u, v in g.edges)
+    assert any(len({frozenset((u, v)) for _, u, v in g.edges}) < len(g.edges) for g in graphs)
+    for graph in graphs:
+        weights = {e: -e for e in graph.edge_ids} if reverse else None
+        pairs = spanning_tree_bijection(graph, weights)
+        assert pairs == theorem_bijection(graphic_matroid(graph), star_sets(graph), "cocircuit",
+                                          weights=weights)
+        assert {t for _, t in pairs} == set(spanning_trees(graph))
+
+
+def test_g_parking_refuses_a_star_box_beyond_the_cap():
+    # K12 has 11 star sets, within the table's cap, but 11^11 vectors to burn
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large: 285311670611 value vectors in the star box"):
+        g_parking_equals_s_parking(complete_graph(12))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spanning_trees_refuse_beyond_the_candidate_cap():
+    # K8 is tried, C(28, 7) = 1,184,040 subsets; K12 would try C(66, 11)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"too large: C\(66, 11\) = 1074082795968 candidate edge sets"):
+        spanning_trees(complete_graph(12))
+    assert time.perf_counter() - start < 1.0

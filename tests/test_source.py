@@ -109,3 +109,16 @@ def test_certificates_peel_the_compiled_masks():
             pending += [node.id for node in ast.walk(defs[name])
                         if isinstance(node, ast.Name) and node.id in defs]
     assert "exactly_one_sets" not in reached
+
+
+def test_matroid_layer_neither_encodes_nor_decodes():
+    # bases, pools and parts share the matroid's one bit order, so the
+    # bracket, the sides, the independence row and the cover search work
+    # on masks alone
+    tree = ast.parse((Path(sparking.__file__).parent / "matroids.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = ("_bracket", "_checked_side", "_independent_row", "find_cocircuit_cover_families")
+    found = [f"{name}:{node.lineno} {node.attr}" for name in names
+             for node in ast.walk(defs[name])
+             if isinstance(node, ast.Attribute) and node.attr in {"mask_of", "elements_of"}]
+    assert not found
