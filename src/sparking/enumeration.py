@@ -10,10 +10,10 @@ checks the image masks against a target family of masks, and
 (``systems.subfamily_table``; ``SetSystem.table`` for a system) holds
 each subset's exactly-one pool mask.  ``pool_filter`` keeps the
 k-subsets that meet every pool (Q); ``table_sets`` gives a system's
-parking sets that way, as masks.  ``mask_families``, the scan, gives
-both families of a bare bitmask family: it alone derives each subset's
-private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to keep the
-value vectors of the box that beat one threshold of every subset (P).  The box
+parking sets that way, as masks, over its minimal pools.  ``mask_families``
+gives both families of a bare bitmask family: it alone derives each
+subset's private-part thresholds (j, |A_j ∩ pool|), for ``box_filter`` to
+keep the value vectors that beat one threshold of every subset (P).  The box
 is one bitset with a bit per value vector, in lexicographic order, and
 each subset clears the vectors that beat none of its thresholds with a
 few big-integer operations.  ``enumerate_parking_functions`` and
@@ -363,12 +363,12 @@ def mask_families(masks):
 
 
 def table_sets(system):
-    """The parking sets of ``system`` by ``pool_filter`` over its
-    subfamily table, as masks over ``system.compiled`` in combination
-    order of its bits.  Refuses by ``_candidate_budget`` before it builds
-    the table."""
+    """The parking sets of ``system`` by ``pool_filter`` over the minimal
+    pools of its subfamily table, as masks over ``system.compiled`` in
+    combination order of its bits.  Refuses by ``_candidate_budget``
+    before it builds the table."""
     _candidate_budget(system.k, len(system.covered))
-    return pool_filter(system.compiled.masks, system.table)
+    return pool_filter(system.compiled.masks, system.pools)
 
 
 @dataclass

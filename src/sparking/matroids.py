@@ -5,21 +5,25 @@ identity universe (``Matroid._identity``), and ranks masks by the rule of
 its construction: ``uniform_matroid`` by min(|S|, r), ``graphic_matroid``
 by union-find, ``dual`` by r*(X) = |X| - r(E) + r(E - X), and an explicit
 ``Matroid(...)`` by the max over its bases; ``bases`` decodes them for the
-public API.  Circuits and cocircuits still come from subset scans, which
-is the point: everything here exists to verify the parking-set/basis
-identities and the induced bijections on desk-scale instances.  A side of
-the theorem is set up once per call by ``_checked_side``: one system of
-the parts over that universe, whose subfamily table gives the parking
-sets, the bracket on the reference matroid (the dual on the cocircuit
-side, computed on first use) and the full-cover check, all as masks in
-the bases' bit order.
+public API.  Circuits and cocircuits still come from scans over bit
+combinations, which is the point: everything here exists to verify the
+parking-set/basis identities and the induced bijections on desk-scale
+instances.  A side of the theorem is set up once per call by
+``_checked_side``: one system of the parts over that universe, in its bit
+order, whose masks give the union test (``_is_union``) and whose subfamily
+table gives the parking sets, the bracket on the reference matroid (the
+dual on the cocircuit side, computed on first use) and the full-cover
+check.  The parking sets and the bracket read only the table's minimal
+pools (``SetSystem.pools``); the bracket ANDs the cached columns
+(``_columns``: per ground bit, a bitset of the bases holding it) of each
+pool's bits and ORs over the pools.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 
-from .enumeration import paired_images, table_sets
+from .enumeration import _BITS, paired_images, table_sets
 from .systems import SetSystem, VerificationError, _system_over
 
 # candidate extensions ``find_cocircuit_cover_families`` tries before it gives up
@@ -104,18 +108,23 @@ class Matroid:
         return self._rank(self._mask(subset))
 
     @cached_property
+    def _columns(self):
+        """Per ground bit, the bitset of the indices of the bases holding
+        it, cut from the bases' binary digits laid end to end."""
+        n = len(self.ground)
+        digits = "".join(f"{m:0{n}b}" for m in reversed(self._masks))
+        return [int(digits[n - 1 - b::n], 2) for b in range(n)]
+
+    @cached_property
     def circuits(self):
-        """Inclusion-minimal dependent sets, by increasing-size subset scan."""
-        found = []
-        elements = sorted(self.ground)
+        """Inclusion-minimal dependent sets, by increasing-size scan over
+        bit combinations."""
+        found, bits = [], [1 << b for b in range(len(self.ground))]
         for size in range(1, self.rank_value + 2):
-            for combo in combinations(elements, size):
-                s = frozenset(combo)
-                if any(c <= s for c in found):
-                    continue
-                if self.rank(s) < size:
+            for s in map(sum, combinations(bits, size)):
+                if not any(c & s == c for c in found) and self._rank(s) < size:
                     found.append(s)
-        return tuple(found)
+        return tuple(map(self._identity.compiled.elements_of, found))
 
     @cached_property
     def dual(self):
@@ -133,7 +142,10 @@ class Matroid:
     def is_union_of_circuits(self, subset):
         """True when deleting any single element keeps the rank unchanged;
         vacuously true for the empty set."""
-        m = self._mask(subset)
+        return self._is_union(self._mask(subset))
+
+    def _is_union(self, m):
+        """``is_union_of_circuits`` of a mask."""
         full = self._rank(m)
         return all(self._rank(m ^ 1 << b) == full for b in range(m.bit_length()) if m >> b & 1)
 
@@ -149,8 +161,8 @@ class Matroid:
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
-        bracket = set(self.bases_bracket(parts))
-        return [b for b in self.bases if b not in bracket]
+        bracket = _bracket(self, self._identity.with_sets(_checked_parts(self, parts)))
+        return [b for b, mask in zip(self.bases, self._masks) if mask not in bracket]
 
     def __eq__(self, other):
         return (isinstance(other, Matroid) and self.ground == other.ground
@@ -181,10 +193,17 @@ def _checked_parts(matroid, parts):
 
 
 def _bracket(matroid, system):
-    """The basis masks of ``bases_bracket`` of the parts of ``system``, off
-    its subfamily table: a basis is kept when some pool mask lies inside."""
-    pools = set(system.table)
-    return {m for m in matroid._masks if any(pool & m == pool for pool in pools)}
+    """The basis masks of ``bases_bracket`` of the parts of ``system``: the
+    bases holding a minimal pool are the AND of its bits' columns, and the
+    bracket is the OR of those over the pools."""
+    columns, every, hit = matroid._columns, (1 << len(matroid._masks)) - 1, 0
+    for pool in system.pools:
+        held = every
+        for b in range(pool.bit_length()):
+            if pool >> b & 1:
+                held &= columns[b]
+        hit |= held
+    return set(compress(matroid._masks, f"{hit:b}"[::-1].encode().translate(_BITS)))
 
 
 @dataclass
@@ -293,11 +312,11 @@ def _checked_side(matroid, parts, side, weights=None):
         reference, xor = matroid.dual, 0
     else:
         raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
-    non_union = next((i for i, p in enumerate(parts, start=1)
-                      if not reference.is_union_of_circuits(p)), None)
+    system = matroid._identity.with_sets(parts)
+    non_union = next((i for i, m in enumerate(system.compiled.masks, start=1)
+                      if not reference._is_union(m)), None)
     weighted = None if weights is None else _system_over(matroid.ground, parts, weights)
-    return _Side(matroid, side, matroid._identity.with_sets(parts), weighted, reference, xor,
-                 non_union)
+    return _Side(matroid, side, system, weighted, reference, xor, non_union)
 
 
 def _independent_row(system, reference):
@@ -346,15 +365,12 @@ def corollary_full_cover(matroid, parts, side):
 # exploration aid: does a matroid admit a full-cover cocircuit family?
 
 def cocircuit_union_subsets(matroid):
-    """All non-empty subsets that are unions of cocircuits."""
-    elements = sorted(matroid.ground)
-    out = []
-    for size in range(1, len(elements) + 1):
-        for combo in combinations(elements, size):
-            s = frozenset(combo)
-            if matroid.dual.is_union_of_circuits(s):
-                out.append(s)
-    return out
+    """All non-empty subsets that are unions of cocircuits, by size, then
+    in combination order."""
+    dual, bits = matroid.dual, [1 << b for b in range(len(matroid.ground))]
+    found = [m for size in range(1, len(bits) + 1)
+             for m in map(sum, combinations(bits, size)) if dual._is_union(m)]
+    return list(map(matroid._identity.compiled.elements_of, found))
 
 
 def find_cocircuit_cover_families(matroid, limit=1):

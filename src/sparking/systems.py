@@ -8,8 +8,9 @@ reductions the mapping algorithms lean on, and the weight rank ``delta``.
 ``SetSystem.compiled`` is the one bitmask form of a family: the mapping
 sweep and the certificates' greedy peel run on it, and its
 ``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
-pool mask per subfamily for the enumeration, matroid and graph layers.
-Its bits cover the whole universe, so systems over one universe share them.
+pool mask per subfamily for the enumeration, matroid and graph layers,
+and ``SetSystem.pools`` its inclusion-minimal pools.  Its bits cover the
+whole universe, in the order the ``Universe`` keeps for all its systems.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -52,9 +53,16 @@ class Universe:
         """Universe in which every element weighs its own id."""
         return cls({e: e for e in elements})
 
-    @property
+    @cached_property
     def elements(self):
         return frozenset(self._table)
+
+    @cached_property
+    def _bits(self):
+        """The elements from lightest to heaviest, and each one's bit: the
+        bit order of every system over this universe."""
+        order = tuple(sorted(self._table, key=self._table.__getitem__))
+        return order, {e: 1 << b for b, e in enumerate(order)}
 
     def weight(self, element):
         try:
@@ -83,11 +91,12 @@ class SetSystem:
 
     The family may contain empty or repeated sets; an empty member makes
     the parking-function family empty, so a warning is emitted when one
-    is present.  k == 0 is allowed so that the reduction operations can
-    shrink a one-set family to nothing.  Instances are immutable.
+    is present, unless ``warn`` is false.  k == 0 is allowed so that the
+    reduction operations can shrink a one-set family to nothing.
+    Instances are immutable.
     """
 
-    def __init__(self, sets, universe=None):
+    def __init__(self, sets, universe=None, *, warn=True):
         self._sets = tuple(frozenset(s) for s in sets)
         covered = frozenset(e for s in self._sets for e in s)
         if universe is None:
@@ -95,7 +104,7 @@ class SetSystem:
         stray = covered - universe.elements
         if stray:
             raise ValueError(f"elements {sorted(stray)} are not in the universe")
-        if any(not s for s in self._sets):
+        if warn and not all(self._sets):
             warnings.warn(
                 "family contains an empty set: no parking function exists",
                 stacklevel=2)
@@ -131,9 +140,9 @@ class SetSystem:
     @cached_property
     def compiled(self):
         """Bitmask form of the family, built on first use; every universe
-        element gets a bit, an uncovered one a bit no member holds."""
-        order = tuple(sorted(self._universe.elements, key=self._universe.weight))
-        bit = {e: 1 << b for b, e in enumerate(order)}
+        element gets a bit, an uncovered one a bit no member holds, in the
+        bit order the universe keeps for all its systems."""
+        order, bit = self._universe._bits
         return Compiled(order, bit, tuple(sum(bit[e] for e in s) for s in self._sets))
 
     @cached_property
@@ -141,11 +150,24 @@ class SetSystem:
         """``subfamily_table`` of the compiled family, built on first use."""
         return subfamily_table(self.compiled.masks)
 
+    @cached_property
+    def pools(self):
+        """The inclusion-minimal distinct masks of ``table``, by size: a set
+        meets every pool, or contains some pool, exactly when it does so
+        for these."""
+        kept = []
+        for pool in sorted(set(self.table), key=int.bit_count):
+            for p in kept:
+                if p & pool == p:
+                    break
+            else:
+                kept.append(pool)
+        return kept
+
     def with_sets(self, sets):
-        """A system over the same universe with a different family."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return SetSystem(sets, self._universe)
+        """A system over the same universe with a different family, without
+        the empty-member warning."""
+        return SetSystem(sets, self._universe, warn=False)
 
     def __eq__(self, other):
         return (isinstance(other, SetSystem)
@@ -186,7 +208,7 @@ def _system_over(ground, sets, weights=None):
     """A system of ``sets`` weighted by ``weights``, else by identity weights
     on ``ground``, without the empty-member warning."""
     universe = Universe(weights) if weights is not None else Universe.identity(ground)
-    return SetSystem((), universe).with_sets(sets)
+    return SetSystem(sets, universe, warn=False)
 
 
 def _checked_indices(system, indices):

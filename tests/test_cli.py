@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,25 @@ def test_k12_spanning_trees_are_refused_at_once(command, tmp_path, capsys):
     assert captured.err.startswith(
         "error: too large: C(66, 11) = 1074082795968 candidate edge sets;")
     assert captured.out == ""
+
+
+def test_k7_circuit_side_with_the_cone_triangles_runs_in_seconds(tmp_path):
+    # 16,807 bases against the pools of 32,767 subfamilies: a per-basis
+    # scan of every pool took 78 s; the column bracket over the 1,172
+    # minimal pools takes seconds
+    k7 = complete_graph(7)
+    edge = {(u, v): e for e, u, v in k7.edges}
+    triangles = [(edge[0, i], edge[0, j], edge[i, j]) for i, j in combinations(range(1, 7), 2)]
+    (tmp_path / "k7.txt").write_text("vertices 7\n" + "".join(f"{e} {u} {v}\n"
+                                                              for e, u, v in k7.edges))
+    (tmp_path / "faces.txt").write_text("15 21\n" + "".join(" ".join(map(str, t)) + "\n"
+                                                           for t in triangles))
+    start = time.perf_counter()
+    result = _run_cli("matroid", f"graphic:{tmp_path / 'k7.txt'}", "--parts",
+                      str(tmp_path / "faces.txt"), "--side", "circuit", "--json", timeout=60)
+    assert result.returncode == 0 and time.perf_counter() - start < 20
+    out = json.loads(result.stdout)
+    assert len(out["pairs"]) == 16807 and out["identity"]["equal"] and out["full_cover"]
 
 
 def test_enumerate_sets_beyond_the_candidate_cap_is_refused_at_once(tmp_path):

@@ -1,7 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 
@@ -280,6 +280,18 @@ def test_table_agrees_with_oracles_on_seeded_systems():
         seen["k = 0"] += system.k == 0
         seen["inert"] += len(system.universe) > len(system.covered)
     assert all(seen.values())
+
+
+def test_table_sets_over_the_minimal_pools_equal_the_filter_over_all_pools():
+    # the triangles through vertex 0 of K6: 197 of the 1,023 pools are
+    # minimal, and the 1,296 parking sets are the complements of the trees
+    k6 = complete_graph(6)
+    edge = {(u, v): e for e, u, v in k6.edges}
+    system = SetSystem([{edge[0, i], edge[0, j], edge[i, j]}
+                        for i, j in combinations(range(1, 6), 2)])
+    assert (len(system.table), len(system.pools)) == (1023, 197)
+    found = table_sets(system)
+    assert len(found) == 1296 and found == pool_filter(system.compiled.masks, system.table)
 
 
 def test_table_lists_subsets_in_bitmask_order():

@@ -1,7 +1,10 @@
 import random
+import warnings
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparking.systems
 from sparking import (
@@ -25,8 +28,9 @@ from sparking.graphs import (
     star_sets,
 )
 from sparking.cli import main
-from sparking.matroids import _independent_row
-from sparking.systems import _system_over, exactly_one_sets
+from sparking.enumeration import pool_filter
+from sparking.matroids import _bracket, _independent_row
+from sparking.systems import SetSystem, _system_over, exactly_one_sets
 
 
 def _subsets(ground):
@@ -145,6 +149,72 @@ def test_bracket_matches_the_definition_on_uniform_matroids():
                          for k in (3, 4) for _ in range(20)]
             for parts in families:
                 assert matroid.bases_bracket(parts) == _bracket_by_definition(matroid, parts)
+
+
+def _bracket_matroids(two_triangles):
+    """Graphic K4 and K5, 40 seeded multigraphs with loops and parallel
+    edges, the duals of all of them, and one explicit matroid with a loop."""
+    rng = random.Random(29)
+    graphs = [complete_graph(4), complete_graph(5)]
+    graphs += [random_connected_multigraph(rng, max_vertices=5, max_edges=8) for _ in range(40)]
+    for graph in graphs:
+        matroid = graphic_matroid(graph)
+        yield from (matroid, matroid.dual)
+    yield Matroid(range(1, 7), graphic_matroid(two_triangles).bases)
+
+
+def test_bracket_matches_the_definition_beyond_uniform_matroids(two_triangles):
+    rng = random.Random(31)
+    matroids = empty_pools = 0
+    for matroid in _bracket_matroids(two_triangles):
+        matroids += 1
+        ground = sorted(matroid.ground)
+        families = [[{e for e in ground if rng.random() < 0.4} for _ in range(rng.randint(1, 4))]
+                    for _ in range(5)]
+        # a repeated part, and an empty part, make an exactly-one pool empty
+        families += [families[0] + families[0][:1], [set(), set(ground)]]
+        for parts in families:
+            bracket = matroid.bases_bracket(parts)
+            assert bracket == _bracket_by_definition(matroid, parts)
+            assert matroid.bases_prime(parts) == [b for b in matroid.bases if b not in bracket]
+            empty_pools += 0 in matroid._identity.with_sets(parts).table
+    assert matroids == 85 and empty_pools >= 2 * matroids
+
+
+def _pool_matroids():
+    yield from (uniform_matroid(6, r) for r in (2, 3))
+    k4 = graphic_matroid(complete_graph(4))
+    yield from (k4, k4.dual, Matroid(range(1, 7), k4.bases))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_pool_matroids())),
+       st.lists(st.frozensets(st.integers(1, 6)), max_size=5))
+def test_minimal_pools_decide_the_filter_and_the_bracket(matroid, parts):
+    system = matroid._identity.with_sets(parts)
+    pools, table = system.pools, system.table
+    # an antichain inside the table, below every pool of it
+    assert set(pools) <= set(table)
+    assert all(p == q or p & q != p for p in pools for q in pools)
+    assert all(any(p & q == p for p in pools) for q in table)
+    masks = system.compiled.masks
+    assert pool_filter(masks, pools) == pool_filter(masks, table)
+    assert _bracket(matroid, system) == {m for m in matroid._masks
+                                         if any(q & m == q for q in table)}
+
+
+def test_parts_systems_reuse_the_universe_bit_order():
+    matroid = graphic_matroid(complete_graph(5))
+    identity = matroid._identity.compiled
+    compiled = matroid._identity.with_sets(star_sets(complete_graph(5))).compiled
+    assert compiled.order is identity.order and compiled.bit is identity.bit
+    # with_sets stays quiet about an empty member; the public constructor
+    # still warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matroid._identity.with_sets([set()])
+    with pytest.warns(UserWarning, match="empty set"):
+        SetSystem([set()])
 
 
 # --- identity reports ---------------------------------------------------------

@@ -113,12 +113,18 @@ def test_certificates_peel_the_compiled_masks():
 
 def test_matroid_layer_neither_encodes_nor_decodes():
     # bases, pools and parts share the matroid's one bit order, so the
-    # bracket, the sides, the independence row and the cover search work
-    # on masks alone
+    # bracket and its columns, the sides and their union test, the
+    # independence row and the cover search work on masks alone; none
+    # reaches a public method that encodes a set either
     tree = ast.parse((Path(sparking.__file__).parent / "matroids.py").read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    names = ("_bracket", "_checked_side", "_independent_row", "find_cocircuit_cover_families")
+    defs.update((f"{cls.name}.{node.name}", node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef))
+    names = ("_bracket", "_checked_side", "_independent_row", "find_cocircuit_cover_families",
+             "Matroid._is_union", "Matroid._columns")
+    coders = {"mask_of", "elements_of", "_mask", "rank", "is_union_of_circuits"}
     found = [f"{name}:{node.lineno} {node.attr}" for name in names
              for node in ast.walk(defs[name])
-             if isinstance(node, ast.Attribute) and node.attr in {"mask_of", "elements_of"}]
+             if isinstance(node, ast.Attribute) and node.attr in coders]
     assert not found
