@@ -1,7 +1,7 @@
 """The two mappings between parking sets and parking functions.
 
 Both maps are one sweep, ``sweep``, over the bitmask form of the family
-(``SetSystem.compiled``): it repeatedly takes the lightest element of
+(``SetSystem.masks``): it repeatedly takes the lightest element of
 the exactly-one pool of the still-active sets and either deletes it from
 its owning set or fixes that set with it.  ``sigma`` turns a parking
 function into a parking set by spending its values as deletion budgets;
@@ -142,14 +142,13 @@ def walk(masks):
 def _traced_sweep(system, budget, fixed, what):
     """Run the sweep on ``system`` for an input certified to be a ``what``;
     returns its result and its events translated into a trace."""
-    compiled = system.compiled
-    events = []
-    result = sweep(compiled.masks, budget, fixed, events)
+    events, order = [], system.universe.order
+    result = sweep(system.masks, budget, fixed, events)
     if result is None:
         raise VerificationError(f"exactly-one pool emptied mid-run on a certified {what}")
     pi, chosen, deletions, fixations = [], [], [], []
     for step, (kind, j, e) in enumerate(events, start=1):
-        event = (step, j + 1, compiled.order[e.bit_length() - 1])
+        event = (step, j + 1, order[e.bit_length() - 1])
         if kind == "FIX":
             pi.append(j + 1)
             chosen.append(event[2])
@@ -176,7 +175,7 @@ def rho(system, elements):
     # |A_j| deletions is never reached while it still owns a pool element
     cap = [len(a) for a in system.sets]
     (counters, _), trace = _traced_sweep(
-        system, cap, system.compiled.mask_of(certificate.witnesses), "parking set")
+        system, cap, system.universe.mask_of(certificate.witnesses), "parking set")
     return tuple(counters), trace
 
 

@@ -61,7 +61,7 @@ def _cmd_enumerate(args):
     # the sets come off the subfamily table, which refuses k beyond its
     # cap, so they are taken before the functions walk the sweep tree
     sets = None if args.which == "functions" else sorted(
-        sorted(system.compiled.elements_of(d)) for d in table_sets(system))
+        sorted(system.universe.elements_of(d)) for d in table_sets(system))
     families = {}
     if args.which != "sets":
         families["functions"] = [list(f) for f, _ in tree_pairs(system)]
@@ -150,8 +150,10 @@ def _load_matroid(source):
 
 def _cmd_matroid(args):
     matroid = _load_matroid(args.matroid)
-    parts = load_set_system(_read(args.parts)).sets
-    side = _checked_side(matroid, parts, args.side)
+    parts = load_set_system(_read(args.parts))
+    weights = {e: parts.weight(e) for e in parts.universe.order}
+    side = _checked_side(matroid, parts.sets, args.side,
+                         None if all(e == w for e, w in weights.items()) else weights)
     report, pairs, cover = side.identity(), side.theorem(), side.cover()
     if args.json:
         _emit_json({"identity": report.to_jsonable(),
@@ -163,13 +165,13 @@ def _cmd_matroid(args):
     print(f"surviving bases: {len(report.lhs)}  parking expression: {len(report.rhs)}  "
           + ("identity OK" if report.equal else "identity FAIL"))
     print(f"full cover: {'yes' if cover else 'no'}")
-    names = [f"E{i}" for i in range(1, len(parts) + 1)]
+    names = [f"E{i}" for i in range(1, parts.k + 1)]
     if args.side == "circuit":
         print(render_pairing_table(
-            [(f, matroid.ground - b) for f, b in pairs], len(parts),
+            [(f, matroid.ground - b) for f, b in pairs], parts.k,
             set_names=names, ground=matroid.ground), end="")
     else:
-        print(render_pairing_table(pairs, len(parts), set_names=names), end="")
+        print(render_pairing_table(pairs, parts.k, set_names=names), end="")
     return 0 if report.equal else 1
 
 
@@ -197,7 +199,7 @@ def u42_table():
     """The five-row pairing table of the rank-2 uniform matroid on four
     elements with parts {1,2,3} and {1,2,4}, identity weights."""
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
-    pairs = [(f, system.compiled.elements_of(d)) for f, d in tree_pairs(system)]
+    pairs = [(f, system.universe.elements_of(d)) for f, d in tree_pairs(system)]
     return render_pairing_table(pairs, 2, set_names=["E1", "E2"],
                                 ground=frozenset({1, 2, 3, 4}))
 

@@ -134,11 +134,11 @@ def verify_bijection(system):
                 f"definition is capped at {MAX_ORACLE_PAIRS} pairs")
     functions = enumerate_parking_functions(system)
     sets_ = enumerate_parking_sets(system)
-    compiled = system.compiled
+    universe = system.universe
     forward, failures = check_roundtrip(
-        compiled.masks, functions, [compiled.mask_of(d) for d in sets_],
-        show=lambda d: sorted(compiled.elements_of(d)))
-    pairs = [(f, compiled.elements_of(forward[f])) for f in functions
+        system.masks, functions, [universe.mask_of(d) for d in sets_],
+        show=lambda d: sorted(universe.elements_of(d)))
+    pairs = [(f, universe.elements_of(forward[f])) for f in functions
              if forward[f] is not None]
     return VerificationReport(functions, sets_, pairs, failures)
 
@@ -183,7 +183,7 @@ def tree_pairs(system):
     paired with the mask of its ``sigma`` image, off the sweep tree
     (``bijections.walk``).  Each leaf is certified by the greedy peel
     before it is returned; same empty-member warning as the oracle."""
-    masks = system.compiled.masks
+    masks = system.masks
     if _empty_member(masks):
         return []
     leaves = walk(masks)
@@ -195,22 +195,22 @@ def tree_pairs(system):
 
 def paired_images(system, target, xor=0, weighted=None):
     """Pair every parking function with the mask of its ``sigma`` image
-    xor ``xor``, over ``system.compiled``, and check that these hit each
+    xor ``xor``, over ``system.masks``, and check that these hit each
     mask of ``target`` exactly once; raises VerificationError if not.
     ``weighted``, the family over other weights, is swept instead when
     given, each image carried over through its element set."""
-    compiled = system.compiled
+    universe = system.universe
     if weighted is None:
         leaves = tree_pairs(system)
     else:
-        elements_of = weighted.compiled.elements_of
-        leaves = [(f, compiled.mask_of(elements_of(d))) for f, d in tree_pairs(weighted)]
+        elements_of = weighted.universe.elements_of
+        leaves = [(f, universe.mask_of(elements_of(d))) for f, d in tree_pairs(weighted)]
     images = {d ^ xor for _, d in leaves}
     if len(images) != len(leaves):
         raise VerificationError("bijection image has a collision")
     if images != set(target):
         raise VerificationError("bijection image differs from the target family")
-    return [(f, compiled.elements_of(d ^ xor)) for f, d in leaves]
+    return [(f, universe.elements_of(d ^ xor)) for f, d in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +364,11 @@ def mask_families(masks):
 
 def table_sets(system):
     """The parking sets of ``system`` by ``pool_filter`` over the minimal
-    pools of its subfamily table, as masks over ``system.compiled`` in
+    pools of its subfamily table, as masks in the universe's bit order, in
     combination order of its bits.  Refuses by ``_candidate_budget``
     before it builds the table."""
     _candidate_budget(system.k, len(system.covered))
-    return pool_filter(system.compiled.masks, system.pools)
+    return pool_filter(system.masks, system.pools)
 
 
 @dataclass

@@ -8,9 +8,10 @@ form the cocircuit-side family whose parking functions are exactly the
 degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
 caller drive the circuit-side variant.  Both tree bijections pair off
-the sweep tree (``bijections.walk``) and refuse more than
-``MAX_CHECK_SETS`` sets (``systems._subset_budget``, the subfamily
-table's cap) before the trees, their target, are enumerated.
+the sweep tree (``bijections.walk``) against ``graphic_matroid``'s bases,
+bounded by the candidate cap of ``spanning_trees``; the face side, whose
+cover check reads the subfamily table, also refuses more than
+``MAX_CHECK_SETS`` sets (``systems._subset_budget``) before any tree.
 
 G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
 Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
@@ -28,7 +29,7 @@ from math import comb, prod
 from .bijections import walk
 from .enumeration import paired_images
 from .matroids import Matroid, PreconditionError, _checked_side, _independent_row
-from .systems import MAX_CHECK_CANDIDATES, _subset_budget, _system_over
+from .systems import MAX_CHECK_CANDIDATES, Universe, _subset_budget, _system_over
 
 
 class Multigraph:
@@ -151,7 +152,7 @@ def graphic_matroid(graph):
     live in the ground set but in no basis.  The rank of an edge set is
     the number of merges union-find makes along it (n minus the number
     of components it leaves); bit b stands for the b-th smallest edge id."""
-    compiled = _system_over(graph.edge_ids, ()).compiled
+    universe = Universe.identity(graph.edge_ids)
     ends = [(u, v) for _, u, v in sorted(graph.edges)]
 
     def rank(mask):
@@ -165,7 +166,7 @@ def graphic_matroid(graph):
                     merges += 1
         return merges
 
-    return Matroid._by_construction(graph.edge_ids, map(compiled.mask_of, spanning_trees(graph)),
+    return Matroid._by_construction(graph.edge_ids, map(universe.mask_of, spanning_trees(graph)),
                                     rank)
 
 
@@ -252,7 +253,7 @@ def g_parking_equals_s_parking(graph):
         raise ValueError(
             f"too large: {cells} value vectors in the star box; "
             f"burning them is capped at {MAX_CHECK_CANDIDATES}")
-    star_defined = [f for f, _ in walk(system.compiled.masks)]
+    star_defined = [f for f, _ in walk(system.masks)]
     degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
 
@@ -286,9 +287,7 @@ def spanning_tree_bijection(graph, weights=None):
     if graph.n_vertices < 2:
         raise ValueError("need at least one non-root vertex")
     weighted = None if weights is None else star_system(graph, weights)
-    system = star_system(graph)
-    _subset_budget(system.k)
-    return paired_images(system, map(system.compiled.mask_of, spanning_trees(graph)), 0, weighted)
+    return paired_images(star_system(graph), graphic_matroid(graph)._masks, 0, weighted)
 
 
 def face_boundary_bijection(graph, boundaries, weights=None):

@@ -1,7 +1,7 @@
 """Finite matroids given by basis lists, with a rank function.
 
 A matroid keeps its bases once, as masks over the bit order of its
-identity universe (``Matroid._identity``), and ranks masks by the rule of
+identity universe (``Matroid._universe``), and ranks masks by the rule of
 its construction: ``uniform_matroid`` by min(|S|, r), ``graphic_matroid``
 by union-find, ``dual`` by r*(X) = |X| - r(E) + r(E - X), and an explicit
 ``Matroid(...)`` by the max over its bases; ``bases`` decodes them for the
@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations, compress
 
 from .enumeration import _BITS, paired_images, table_sets
-from .systems import SetSystem, VerificationError, _system_over
+from .systems import SetSystem, Universe, VerificationError, _system_over
 
 # candidate extensions ``find_cocircuit_cover_families`` tries before it gives up
 MAX_COVER_NODES = 200000
@@ -56,7 +56,7 @@ class Matroid:
                 raise ValueError(f"basis {sorted(b)} is not inside the ground set")
         if len({len(b) for b in unique}) != 1:
             raise ValueError("all bases must have the same cardinality")
-        self._store(map(self._identity.compiled.mask_of, unique), self._rank_over_bases)
+        self._store(map(self._universe.mask_of, unique), self._rank_over_bases)
         self._check_exchange()
 
     @classmethod
@@ -87,21 +87,21 @@ class Matroid:
         return max((b & mask).bit_count() for b in self._masks)
 
     @cached_property
-    def _identity(self):
-        """An empty system over identity weights on the ground set: the
-        bases' bit order; every unweighted parts system is built from it."""
-        return _system_over(self.ground, ())
+    def _universe(self):
+        """Identity weights on the ground set: the bases' bit order, and the
+        universe of every unweighted parts system."""
+        return Universe.identity(self.ground)
 
     @cached_property
     def bases(self):
         """The bases as element sets, sorted by their sorted element tuples."""
-        return tuple(map(self._identity.compiled.elements_of, self._masks))
+        return tuple(map(self._universe.elements_of, self._masks))
 
     def _mask(self, subset):
         s = frozenset(subset)
         if not s <= self.ground:
             raise ValueError("subset must lie inside the ground set")
-        return self._identity.compiled.mask_of(s)
+        return self._universe.mask_of(s)
 
     def rank(self, subset):
         """Largest independent portion of ``subset``."""
@@ -124,7 +124,7 @@ class Matroid:
             for s in map(sum, combinations(bits, size)):
                 if not any(c & s == c for c in found) and self._rank(s) < size:
                     found.append(s)
-        return tuple(map(self._identity.compiled.elements_of, found))
+        return tuple(map(self._universe.elements_of, found))
 
     @cached_property
     def dual(self):
@@ -156,12 +156,12 @@ class Matroid:
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        bracket = _bracket(self, self._identity.with_sets(_checked_parts(self, parts)))
+        bracket = _bracket(self, _parts_system(self, parts))
         return [b for b, mask in zip(self.bases, self._masks) if mask in bracket]
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
-        bracket = _bracket(self, self._identity.with_sets(_checked_parts(self, parts)))
+        bracket = _bracket(self, _parts_system(self, parts))
         return [b for b, mask in zip(self.bases, self._masks) if mask not in bracket]
 
     def __eq__(self, other):
@@ -184,12 +184,13 @@ def uniform_matroid(n, r):
                                     lambda m: min(m.bit_count(), r))
 
 
-def _checked_parts(matroid, parts):
+def _parts_system(matroid, parts):
+    """The parts, checked to lie in the ground set, over ``_universe``."""
     parts = tuple(frozenset(p) for p in parts)
     for i, p in enumerate(parts, start=1):
         if not p <= matroid.ground:
             raise ValueError(f"part {i} is not inside the ground set")
-    return parts
+    return SetSystem(parts, matroid._universe, warn=False)
 
 
 def _bracket(matroid, system):
@@ -271,7 +272,7 @@ class _Side:
         rhs = {d ^ self.xor for d in table_sets(self.system)}
         if not unions:
             rhs.intersection_update(self.matroid._masks)
-        decode = self.system.compiled.elements_of
+        decode = self.system.universe.elements_of
         lhs = frozenset(map(decode, self.target))
         return BasesIdentityReport(self.name, _FORMS[self.name][not unions],
                                    self.system.sets, unions, lhs,
@@ -297,8 +298,8 @@ class _Side:
 def _checked_side(matroid, parts, side, weights=None):
     """Check the side's part count and set up the side once; its surviving
     bases are computed on first use."""
-    parts = _checked_parts(matroid, parts)
-    k = len(parts)
+    system = _parts_system(matroid, parts)
+    k = system.k
     if side == "circuit":
         expected = len(matroid.ground) - matroid.rank_value
         if k != expected:
@@ -312,18 +313,21 @@ def _checked_side(matroid, parts, side, weights=None):
         reference, xor = matroid.dual, 0
     else:
         raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
-    system = matroid._identity.with_sets(parts)
-    non_union = next((i for i, m in enumerate(system.compiled.masks, start=1)
+    non_union = next((i for i, m in enumerate(system.masks, start=1)
                       if not reference._is_union(m)), None)
-    weighted = None if weights is None else _system_over(matroid.ground, parts, weights)
+    weighted = None if weights is None else _system_over(matroid.ground, system.sets, weights)
     return _Side(matroid, side, system, weighted, reference, xor, non_union)
 
 
 def _independent_row(system, reference):
     """The bitmask of the first subfamily, in ``system.table`` order, whose
-    exactly-one set is independent (circuit-free) in ``reference``, or None."""
-    return next((imask for imask, pool in enumerate(system.table, 1)
-                 if reference._rank(pool) == pool.bit_count()), None)
+    exactly-one set is independent (circuit-free) in ``reference``, or None.
+    Some pool is independent exactly when a minimal pool is, since every
+    pool holds a minimal one, so the table is scanned only on a hit."""
+    if all(reference._rank(p) < p.bit_count() for p in system.pools):
+        return None
+    return next(imask for imask, pool in enumerate(system.table, 1)
+                if reference._rank(pool) == pool.bit_count())
 
 
 def parking_sets_vs_bases_circuit_side(matroid, parts):
@@ -370,7 +374,7 @@ def cocircuit_union_subsets(matroid):
     dual, bits = matroid.dual, [1 << b for b in range(len(matroid.ground))]
     found = [m for size in range(1, len(bits) + 1)
              for m in map(sum, combinations(bits, size)) if dual._is_union(m)]
-    return list(map(matroid._identity.compiled.elements_of, found))
+    return list(map(matroid._universe.elements_of, found))
 
 
 def find_cocircuit_cover_families(matroid, limit=1):
@@ -388,7 +392,7 @@ def find_cocircuit_cover_families(matroid, limit=1):
     if k == 0:
         return []
     candidates = cocircuit_union_subsets(matroid)
-    compiled = matroid._identity.with_sets(candidates).compiled
+    masks = _parts_system(matroid, candidates).masks
     dual = matroid.dual
     results = []
     nodes = 0
@@ -408,7 +412,7 @@ def find_cocircuit_cover_families(matroid, limit=1):
             nodes += 1
             if len(results) >= limit or nodes > MAX_COVER_NODES:
                 return
-            a = compiled.masks[idx]
+            a = masks[idx]
             grown = [(once | a, twice | once & a) for once, twice in folds]
             if all(dependent(*fold) for fold in grown):
                 extend(prefix + [candidates[idx]], folds + grown, idx + 1)

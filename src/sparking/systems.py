@@ -5,12 +5,12 @@ table of pairwise-distinct rational element weights.  This module holds
 the exactly-one operation, the 2^k parking-function / parking-set test
 oracles, the greedy permutation certificates that validate all input, the
 reductions the mapping algorithms lean on, and the weight rank ``delta``.
-``SetSystem.compiled`` is the one bitmask form of a family: the mapping
-sweep and the certificates' greedy peel run on it, and its
+A ``Universe`` owns the one bit order of all its systems, and
+``SetSystem.masks`` is a family in it: the mapping sweep and the
+certificates' greedy peel run on those masks, and their
 ``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
 pool mask per subfamily for the enumeration, matroid and graph layers,
-and ``SetSystem.pools`` its inclusion-minimal pools.  Its bits cover the
-whole universe, in the order the ``Universe`` keeps for all its systems.
+and ``SetSystem.pools`` its inclusion-minimal pools.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple
 
 # The definitional oracles and the subfamily table walk all 2^k - 1 index
 # subsets and refuse beyond this; the certificates that validate input have no cap.
@@ -58,11 +57,29 @@ class Universe:
         return frozenset(self._table)
 
     @cached_property
-    def _bits(self):
-        """The elements from lightest to heaviest, and each one's bit: the
-        bit order of every system over this universe."""
-        order = tuple(sorted(self._table, key=self._table.__getitem__))
-        return order, {e: 1 << b for b, e in enumerate(order)}
+    def order(self):
+        """The elements from lightest to heaviest: bit b of every mask over
+        this universe stands for ``order[b]``, the lowest for the lightest."""
+        return tuple(sorted(self._table, key=self._table.__getitem__))
+
+    @cached_property
+    def bit(self):
+        """Each element's bit."""
+        return {e: 1 << b for b, e in enumerate(self.order)}
+
+    def mask_of(self, elements):
+        """Mask of ``elements``; elements outside the universe get no bit."""
+        bit = self.bit
+        return sum(bit.get(e, 0) for e in frozenset(elements))
+
+    def elements_of(self, mask):
+        """The elements of the set bits of ``mask``, visiting only those."""
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(self.order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(found)
 
     def weight(self, element):
         try:
@@ -138,17 +155,15 @@ class SetSystem:
         return self._universe.weight(element)
 
     @cached_property
-    def compiled(self):
-        """Bitmask form of the family, built on first use; every universe
-        element gets a bit, an uncovered one a bit no member holds, in the
-        bit order the universe keeps for all its systems."""
-        order, bit = self._universe._bits
-        return Compiled(order, bit, tuple(sum(bit[e] for e in s) for s in self._sets))
+    def masks(self):
+        """The family as masks in the universe's bit order, built on first
+        use; an uncovered universe element has a bit no member holds."""
+        return tuple(map(self._universe.mask_of, self._sets))
 
     @cached_property
     def table(self):
-        """``subfamily_table`` of the compiled family, built on first use."""
-        return subfamily_table(self.compiled.masks)
+        """``subfamily_table`` of ``masks``, built on first use."""
+        return subfamily_table(self.masks)
 
     @cached_property
     def pools(self):
@@ -181,27 +196,6 @@ class SetSystem:
         inner = ", ".join("{" + ",".join(map(str, sorted(s))) + "}"
                           for s in self._sets)
         return f"SetSystem([{inner}])"
-
-
-class Compiled(NamedTuple):
-    """A family as bitmasks: bit b stands for ``order[b]``, the b-th
-    lightest universe element, so the lowest set bit is the lightest."""
-    order: tuple
-    bit: dict
-    masks: tuple
-
-    def mask_of(self, elements):
-        """Mask of ``elements``; elements outside the universe get no bit."""
-        return sum(self.bit.get(e, 0) for e in frozenset(elements))
-
-    def elements_of(self, mask):
-        """The elements of the set bits of ``mask``, visiting only those."""
-        found = []
-        while mask:
-            low = mask & -mask
-            found.append(self.order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(found)
 
 
 def _system_over(ground, sets, weights=None):
@@ -301,10 +295,10 @@ def is_parking_function(system, values):
 
 
 def _peel(system, values, within=-1):
-    """The greedy peel of both certificates, over ``system.compiled``: the
+    """The greedy peel of both certificates, over ``system.masks``: the
     (j, A_j & pool & within) steps of the smallest eligible remaining
     0-based indices j, or None when no remaining index is eligible."""
-    masks = system.compiled.masks
+    masks = system.masks
     remaining = list(range(len(masks)))
     steps = []
     while remaining:
@@ -365,9 +359,9 @@ def parking_set_permutation(system, elements):
     witnesses are the single element contributed at each step, or None
     when the elements are not a parking set.
     """
-    compiled = system.compiled
+    universe = system.universe
     steps = _peel(system, [0] * system.k,
-                  compiled.mask_of(_checked_set(system, elements)))
+                  universe.mask_of(_checked_set(system, elements)))
     if steps is None:
         return None
     # a completed certificate picks up exactly one element per step,
@@ -376,7 +370,7 @@ def parking_set_permutation(system, elements):
     if any(hit.bit_count() != 1 for _, hit in steps):
         raise VerificationError("parking-set certificate took a step with several elements")
     return ParkingSetCertificate(tuple(j + 1 for j, _ in steps),
-                                 tuple(compiled.order[hit.bit_length() - 1]
+                                 tuple(universe.order[hit.bit_length() - 1]
                                        for _, hit in steps))
 
 

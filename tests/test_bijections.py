@@ -167,7 +167,7 @@ def _families():
 
 def test_trace_replays_for_every_weight_order():
     # the replay recomputes every step from exactly_one_sets and the
-    # weights, so it pins the compiled bit order to the definition
+    # weights, so it pins the universe's bit order to the definition
     for system in _families():
         for values in enumerate_parking_functions(system):
             image, trace = sigma(system, values)
@@ -330,28 +330,27 @@ def test_sweep_agrees_with_the_refolding_sweep_on_every_small_system():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_sweep_agrees_with_the_refolding_sweep_on_the_star_systems(n):
-    _check_sweep_against_refolding(star_system(complete_graph(n)).compiled.masks)
+    _check_sweep_against_refolding(star_system(complete_graph(n)).masks)
 
 
 def test_uncovered_universe_elements_change_no_sweep():
-    # the compiled bits run over the whole universe: the uncovered elements
+    # the universe's bits run over all of it: the uncovered elements
     # 1, 3, 5 and 7 get bits that no member mask holds, and sigma, rho and
     # their traces are those of the system over the covered elements alone
     universe = Universe({e: 10 - e for e in range(1, 10)})
     system = SetSystem([{2, 4}, {6, 8}, {2, 6, 9}], universe)
-    compiled = system.compiled
-    assert compiled.order == (9, 8, 7, 6, 5, 4, 3, 2, 1)
+    assert universe.order == (9, 8, 7, 6, 5, 4, 3, 2, 1)
     held = 0
-    for mask in compiled.masks:
+    for mask in system.masks:
         held |= mask
-    assert held == compiled.mask_of(system.covered)
-    assert all(compiled.bit[e] & ~held for e in (1, 3, 5, 7))
+    assert held == universe.mask_of(system.covered)
+    assert all(universe.bit[e] & ~held for e in (1, 3, 5, 7))
     narrow = SetSystem(system.sets, Universe({e: 10 - e for e in system.covered}))
     pairs = tree_pairs(system)
     assert len(pairs) == 8 and [f for f, _ in pairs] == [f for f, _ in tree_pairs(narrow)]
     for f, d in pairs:
         image, trace = sigma(system, f)
-        assert image == compiled.elements_of(d)
+        assert image == universe.elements_of(d)
         assert (image, trace) == sigma(narrow, f)
         counters, back = rho(system, image)
         assert counters == f and (counters, back) == rho(narrow, image)

@@ -19,7 +19,8 @@ import sparking
 import sparking.bijections
 import sparking.enumeration
 import sparking.graphs
-from sparking import VerificationError, complete_graph, spanning_tree_bijection, star_sets
+from sparking import (VerificationError, complete_graph, spanning_tree_bijection, star_sets,
+                      theorem_bijection, uniform_matroid)
 from sparking.cli import main
 
 from test_formats import JSON_DOCUMENTS, SET_SYSTEM_TEXTS
@@ -184,6 +185,24 @@ def test_matroid_graphic_cocircuit_side(tmp_path, k3_file, capsys):
     assert "full cover: yes" in out
 
 
+@pytest.mark.parametrize("side", ["circuit", "cocircuit"])
+def test_matroid_pairs_follow_the_weights_of_the_parts_file(side, tmp_path, capsys):
+    # the reversed weights pair other functions with other bases than the
+    # identity weights; a file without a weights line keeps the identity
+    u42 = uniform_matroid(4, 2)
+    weights = {1: 4, 2: 3, 3: 2, 4: 1}
+    pairs = {}
+    for name, text in (("weighted", "2 4\nweights 4 3 2 1\n1 2 3\n1 2 4\n"), ("plain", U42)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        assert main(["matroid", "uniform:4:2", "--parts", str(path), "--side", side, "--json"]) == 0
+        pairs[name] = json.loads(capsys.readouterr().out)["pairs"]
+    for name, expected in (("weighted", weights), ("plain", None)):
+        assert pairs[name] == [[list(f), sorted(b)] for f, b in theorem_bijection(
+            u42, [{1, 2, 3}, {1, 2, 4}], side, weights=expected)]
+    assert pairs["weighted"] != pairs["plain"]
+
+
 def test_matroid_precondition_exit_code(u42_file, tmp_path, capsys):
     parts = tmp_path / "one.txt"
     parts.write_text("1 4\n1 2 3\n")
@@ -280,8 +299,8 @@ def test_enumerate_functions_walk_past_the_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("faces", [False, True], ids=["stars", "faces"])
 def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
-    # K22 has 21 star sets and 210 independent cycles; its spanning trees
-    # would be enumerated by brute force before any table refused them
+    # K22 has 21 star sets and 210 independent cycles: the face side's table
+    # refuses the faces, and the stars' trees refuse C(231, 21) candidates
     k22 = complete_graph(22)
     path = tmp_path / "k22.txt"
     path.write_text("vertices 22\n" + "".join(f"{e} {u} {v}\n" for e, u, v in k22.edges))
@@ -291,7 +310,9 @@ def test_graph_beyond_the_cap_is_refused_at_once(faces, tmp_path):
         argv += ["--faces", str(tmp_path / "faces.txt")]
     result = _run_cli(*argv, timeout=10)
     assert result.returncode == 2
-    assert result.stderr.startswith(f"error: too large: k={210 if faces else 21} sets;")
+    assert result.stderr.startswith("error: too large: k=210 sets;" if faces else
+                                    "error: too large: C(231, 21) = 331488223958251318888250434410"
+                                    " candidate edge sets;")
     assert result.stdout == ""
 
 

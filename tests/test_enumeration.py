@@ -147,14 +147,14 @@ def _check_mask_system(masks):
         system = system_from_masks(masks)
         functions = enumerate_parking_functions(system)
         report = verify_bijection(system)
-    compiled = system.compiled
-    assert compiled.masks == masks       # identity weights: bit b is element b+1
+    universe = system.universe
+    assert system.masks == masks         # identity weights: bit b is element b+1
     assert ps == functions
-    assert qs == [compiled.mask_of(d) for d in enumerate_parking_sets(system)]
+    assert qs == [universe.mask_of(d) for d in enumerate_parking_sets(system)]
     forward, failures = check_roundtrip(masks, ps, qs)
     assert not failures
     assert report.ok
-    assert {f: compiled.mask_of(d) for f, d in report.pairs} == forward
+    assert {f: universe.mask_of(d) for f, d in report.pairs} == forward
 
 
 def test_fast_path_agrees_with_object_path_exhaustively():
@@ -213,21 +213,19 @@ def _check_table(system):
         found = table_sets(system)
     assert ([str(w.message) for w in table_warnings]
             == [str(w.message) for w in oracle_warnings])
-    compiled = system.compiled
-    assert found == pool_filter(compiled.masks, system.table)
-    assert sorted(map(compiled.elements_of, found), key=sorted) == sets_
-    assert mask_families(compiled.masks) == (functions, found)
+    assert found == pool_filter(system.masks, system.table)
+    assert sorted(map(system.universe.elements_of, found), key=sorted) == sets_
+    assert mask_families(system.masks) == (functions, found)
     _check_table_order(system)
 
 
 def _check_table_order(system):
     """Entry imask - 1 of the table is the exactly-one pool of the
     subfamily whose member bits are set in imask."""
-    compiled = system.compiled
     assert len(system.table) == 2 ** system.k - 1
     for imask, pool in enumerate(system.table, 1):
         indices = [j + 1 for j in range(system.k) if imask >> j & 1]
-        assert pool == compiled.mask_of(exactly_one(system, indices))
+        assert pool == system.universe.mask_of(exactly_one(system, indices))
 
 
 def test_table_agrees_with_oracles_on_every_small_system():
@@ -291,7 +289,7 @@ def test_table_sets_over_the_minimal_pools_equal_the_filter_over_all_pools():
                         for i, j in combinations(range(1, 6), 2)])
     assert (len(system.table), len(system.pools)) == (1023, 197)
     found = table_sets(system)
-    assert len(found) == 1296 and found == pool_filter(system.compiled.masks, system.table)
+    assert len(found) == 1296 and found == pool_filter(system.masks, system.table)
 
 
 def test_table_lists_subsets_in_bitmask_order():
@@ -299,7 +297,7 @@ def test_table_lists_subsets_in_bitmask_order():
     assert table == [0b0111, 0b1011, 0b1100]
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
     assert system.table == table
-    assert list(map(system.compiled.elements_of, system.table)) == [
+    assert list(map(system.universe.elements_of, system.table)) == [
         frozenset({1, 2, 3}), frozenset({1, 2, 4}), frozenset({3, 4})]
 
 
@@ -364,7 +362,7 @@ def test_box_filter_agrees_with_the_per_cell_loop():
 def _table_pairs(system):
     """The pairs as the subfamily table gives them: each parking function
     in box order with the mask of its sweep."""
-    masks = system.compiled.masks
+    masks = system.masks
     return [(f, sweep(masks, f)[1]) for f in mask_families(masks)[0]]
 
 
@@ -378,8 +376,8 @@ def test_walk_leaves_equal_the_table_families():
             assert walk(masks) == pairs
             # every element is covered, so the object form has these masks
             system = system_from_masks(masks)
-            assert system.compiled.masks == masks
-            elements_of = system.compiled.elements_of
+            assert system.masks == masks
+            elements_of = system.universe.elements_of
             assert paired_images(system, qs) == [
                 (f, elements_of(d)) for f, d in pairs]
             checked += 1
@@ -390,9 +388,9 @@ def test_walk_leaves_equal_the_table_families():
 def test_walk_pairs_the_star_systems_like_the_table(n):
     system = star_system(complete_graph(n))
     pairs = _table_pairs(system)
-    assert walk(system.compiled.masks) == pairs
+    assert walk(system.masks) == pairs
     assert len(pairs) == n ** (n - 2)
-    elements_of = system.compiled.elements_of
+    elements_of = system.universe.elements_of
     trees = [d for _, d in pairs]
     assert paired_images(system, trees) == [(f, elements_of(d)) for f, d in pairs]
 
@@ -400,7 +398,7 @@ def test_walk_pairs_the_star_systems_like_the_table(n):
 def test_paired_images_certify_every_leaf(monkeypatch):
     # a leaf the peel rejects, (2, 2) on u42, stops the pairing
     system = SetSystem([{1, 2, 3}, {1, 2, 4}])
-    leaves = walk(system.compiled.masks)
+    leaves = walk(system.masks)
     monkeypatch.setattr(sparking.enumeration, "walk",
                         lambda masks: leaves + [((2, 2), 0b1100)])
     with pytest.raises(VerificationError, match="not a parking function"):

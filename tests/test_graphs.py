@@ -288,6 +288,34 @@ def test_spanning_tree_bijection_k4():
     assert {t for _, t in pairs} == set(spanning_trees(complete_graph(4)))
 
 
+@pytest.mark.parametrize("n", [25, 60])
+def test_star_bijection_pairs_a_path_beyond_the_set_cap(n):
+    # 24 or 59 star sets, more than the subfamily table takes, but the star
+    # side walks the sweep tree and the path has one spanning tree
+    path = Multigraph(n, [(v, v - 1, v) for v in range(1, n)])
+    start = time.perf_counter()
+    assert spanning_tree_bijection(path) == [((0,) * (n - 1), frozenset(range(1, n)))]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_star_bijection_pairs_a_cycle_beyond_the_set_cap():
+    # 29 star sets; the 30-cycle's trees each leave out one edge
+    cycle = Multigraph(30, [(v + 1, v, (v + 1) % 30) for v in range(30)])
+    start = time.perf_counter()
+    pairs = spanning_tree_bijection(cycle)
+    assert time.perf_counter() - start < 1.0
+    edges = frozenset(range(1, 31))
+    assert len(pairs) == 30 and {t for _, t in pairs} == {edges - {e} for e in edges}
+
+
+def test_star_bijection_refuses_k22_by_its_candidate_edge_sets():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"too large: C\(231, 21\) = 331488223958251318888250434410 "
+                                         "candidate edge sets"):
+        spanning_tree_bijection(complete_graph(22))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_star_parking_sets_are_exactly_the_trees(k3):
     assert set(enumerate_parking_sets(star_system(k3))) == set(spanning_trees(k3))
 

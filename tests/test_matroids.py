@@ -29,7 +29,7 @@ from sparking.graphs import (
 )
 from sparking.cli import main
 from sparking.enumeration import pool_filter
-from sparking.matroids import _bracket, _independent_row
+from sparking.matroids import _bracket, _checked_side, _independent_row, _parts_system
 from sparking.systems import SetSystem, _system_over, exactly_one_sets
 
 
@@ -177,7 +177,7 @@ def test_bracket_matches_the_definition_beyond_uniform_matroids(two_triangles):
             bracket = matroid.bases_bracket(parts)
             assert bracket == _bracket_by_definition(matroid, parts)
             assert matroid.bases_prime(parts) == [b for b in matroid.bases if b not in bracket]
-            empty_pools += 0 in matroid._identity.with_sets(parts).table
+            empty_pools += 0 in SetSystem(parts, matroid._universe, warn=False).table
     assert matroids == 85 and empty_pools >= 2 * matroids
 
 
@@ -191,28 +191,53 @@ def _pool_matroids():
 @given(st.sampled_from(list(_pool_matroids())),
        st.lists(st.frozensets(st.integers(1, 6)), max_size=5))
 def test_minimal_pools_decide_the_filter_and_the_bracket(matroid, parts):
-    system = matroid._identity.with_sets(parts)
+    system = SetSystem(parts, matroid._universe, warn=False)
     pools, table = system.pools, system.table
     # an antichain inside the table, below every pool of it
     assert set(pools) <= set(table)
     assert all(p == q or p & q != p for p in pools for q in pools)
     assert all(any(p & q == p for p in pools) for q in table)
-    masks = system.compiled.masks
+    masks = system.masks
     assert pool_filter(masks, pools) == pool_filter(masks, table)
     assert _bracket(matroid, system) == {m for m in matroid._masks
                                          if any(q & m == q for q in table)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_pool_matroids())),
+       st.lists(st.frozensets(st.integers(1, 6)), max_size=5))
+def test_independent_row_decides_on_the_minimal_pools(matroid, parts):
+    system = _parts_system(matroid, parts)
+    for reference in (matroid, matroid.dual):
+        assert _independent_row(system, reference) == next(
+            (imask for imask, pool in enumerate(system.table, 1)
+             if reference._rank(pool) == pool.bit_count()), None)
+
+
+def test_full_cover_ranks_only_the_minimal_pools():
+    # every one of the 32,767 pools of the triangles through vertex 0 of K7
+    # holds a cycle; the verdict ranks the 1,172 minimal ones alone
+    k7 = complete_graph(7)
+    edge = {(u, v): e for e, u, v in k7.edges}
+    triangles = [{edge[0, i], edge[0, j], edge[i, j]} for i, j in combinations(range(1, 7), 2)]
+    side = _checked_side(graphic_matroid(k7), triangles, "circuit")
+    rank, calls = side.reference._rank, []
+    side.reference._rank = lambda m: calls.append(m) or rank(m)
+    assert side.cover()
+    assert len(side.system.pools) == 1172 and len(calls) <= 1172
+
+
 def test_parts_systems_reuse_the_universe_bit_order():
     matroid = graphic_matroid(complete_graph(5))
-    identity = matroid._identity.compiled
-    compiled = matroid._identity.with_sets(star_sets(complete_graph(5))).compiled
-    assert compiled.order is identity.order and compiled.bit is identity.bit
-    # with_sets stays quiet about an empty member; the public constructor
-    # still warns
+    universe = matroid._universe
+    system = _checked_side(matroid, star_sets(complete_graph(5)), "cocircuit").system
+    assert system.universe is universe
+    assert universe.order is universe.order and universe.bit is universe.bit
+    # parts systems stay quiet about an empty member; the public
+    # constructor still warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        matroid._identity.with_sets([set()])
+        _parts_system(matroid, [set()])
     with pytest.warns(UserWarning, match="empty set"):
         SetSystem([set()])
 

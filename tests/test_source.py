@@ -128,3 +128,44 @@ def test_matroid_layer_neither_encodes_nor_decodes():
              for node in ast.walk(defs[name])
              if isinstance(node, ast.Attribute) and node.attr in coders]
     assert not found
+
+
+def _bound_at_top(tree):
+    """(scope, name) of every def, and every assigned name, in the module
+    body or a class body; scope is the class name, or None."""
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, ast.FunctionDef):
+                yield getattr(scope, "name", None), node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                yield from ((getattr(scope, "name", None), n.id)
+                            for n in ast.walk(node) if isinstance(n, ast.Name))
+
+
+# the position of the family among each system constructor's arguments
+_FAMILY_ARGUMENT = {"SetSystem": 0, "with_sets": 0, "_system_over": 1}
+
+
+def _empty_families(tree):
+    """The lines that pass a system constructor an empty literal family."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            position = _FAMILY_ARGUMENT.get(name)
+            if position is not None and position < len(node.args):
+                family = node.args[position]
+                if isinstance(family, (ast.Tuple, ast.List)) and not family.elts:
+                    yield node.lineno
+
+
+def test_the_universe_alone_owns_the_bit_order():
+    # mask_of, elements_of, order and bit are bound in Universe and nowhere
+    # else, and no module builds an empty family just to reach them
+    coders = {"mask_of", "elements_of", "order", "bit"}
+    owners, empty = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owners |= {(path.name, scope, name) for scope, name in _bound_at_top(tree) if name in coders}
+        empty += [f"{path.name}:{line}" for line in _empty_families(tree)]
+    assert owners == {("systems.py", "Universe", name) for name in coders}
+    assert not empty
