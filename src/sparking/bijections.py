@@ -14,7 +14,7 @@ and translate its events into a ``BijectionTrace`` (deletions and
 fixations with global step numbers) so tests can replay the execution.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .systems import (
     VerificationError,
@@ -24,8 +24,7 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class BijectionTrace:
+class BijectionTrace(namedtuple("BijectionTrace", "pi chosen deletions fixations")):
     """Execution record of one mapping run.
 
     pi is the sequence of set indices fixed at each fixation, chosen the
@@ -33,10 +32,7 @@ class BijectionTrace:
     (step, set index, element) triples where step is the global 1-based
     loop-iteration number.
     """
-    pi: tuple
-    chosen: tuple
-    deletions: tuple
-    fixations: tuple
+    __slots__ = ()
 
     def events(self):
         """All events merged in step order."""

@@ -8,12 +8,8 @@ pipe early.  ``--json`` mirrors every report; randomness is seeded by
 """
 
 import argparse
-import json
 import os
-import random
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .enumeration import random_set_system, table_sets, tree_pairs, verify_bijection
 from .bijections import rho, sigma
@@ -33,7 +29,8 @@ from .systems import SetSystem, VerificationError
 
 
 def _read(path):
-    return Path(path).read_text()
+    with open(path) as handle:
+        return handle.read()
 
 
 def _resolve_seed(args):
@@ -53,6 +50,7 @@ def _positive_int(text):
 
 
 def _emit_json(payload):
+    import json
     print(json.dumps(payload, sort_keys=True))
 
 
@@ -107,6 +105,7 @@ def _cmd_verify(args):
     if args.random:
         if args.system is not None:
             raise FormatError("verify takes a system file or --random N, not both")
+        import random
         rng = random.Random(_resolve_seed(args))
         reports = []
         for i in range(args.random):
@@ -207,6 +206,7 @@ def u42_table():
 def _cmd_demo(args):
     if args.name != "u42":
         raise FormatError(f"unknown demo {args.name!r}; available: u42")
+    from importlib import resources
     computed = u42_table()
     golden = resources.files("sparking").joinpath("data/u42_table.txt").read_text()
     print(computed, end="")

@@ -32,7 +32,6 @@ it the table's families of every small system of a generator.
 """
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import combinations, compress, permutations, product
 from math import comb, prod
 
@@ -82,13 +81,12 @@ def enumerate_parking_sets(system):
             if is_parking_set(system, frozenset(combo))]
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of a full bijection check over one system."""
-    functions: list
-    sets: list
-    pairs: list              # (function values, mapped parking set)
-    failures: list
+    """Outcome of a full bijection check over one system; ``pairs`` holds
+    (function values, mapped parking set) pairs."""
+
+    def __init__(self, functions, sets, pairs, failures):
+        self.functions, self.sets, self.pairs, self.failures = functions, sets, pairs, failures
 
     @property
     def n_functions(self):
@@ -371,12 +369,12 @@ def table_sets(system):
     return pool_filter(system.masks, system.pools)
 
 
-@dataclass
 class ScanReport:
     """Aggregate outcome of an exhaustive roundtrip sweep."""
-    systems: int = 0
-    members: int = 0         # total parking functions round-tripped
-    failures: list = field(default_factory=list)
+
+    def __init__(self, systems=0, members=0, failures=None):
+        self.systems, self.members = systems, members  # members: parking functions round-tripped
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

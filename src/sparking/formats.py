@@ -8,9 +8,7 @@ Matroid text: ``ground n r`` then one basis per line.  Graph text:
 face.  Blank lines and ``#`` comments are skipped everywhere.
 """
 
-import json
 import sys
-from fractions import Fraction
 
 from .graphs import Multigraph
 from .matroids import Matroid
@@ -42,11 +40,14 @@ def _ints(tokens, line, what="value"):
 
 
 def _exact(token):
-    """``Fraction(token)``, refusing an exponent beyond the int digit limit."""
+    """``token`` as an int, else a ``Fraction``, refusing an exponent beyond the digit limit."""
+    if token.isascii() and (token[1:] if token[:1] in "+-" else token).isdigit():
+        return int(token)
     _, e, exponent = token.lower().partition("e")
     limit = sys.get_int_max_str_digits()
     if e and limit and abs(int(exponent)) > limit:
         raise ValueError(f"exponent beyond {limit} digits")
+    from fractions import Fraction
     return Fraction(token)
 
 
@@ -106,14 +107,15 @@ def _json_int(value, what):
 
 def _json_weight(value):
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise TypeError
-        return _exact(str(value)) if isinstance(value, (float, str)) else Fraction(value)
+        return value if isinstance(value, int) else _exact(str(value))
     except (TypeError, ValueError, ZeroDivisionError):
         raise FormatError(f"bad weight {value!r}") from None
 
 
 def parse_set_system_json(text):
+    import json
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -127,7 +129,7 @@ def parse_set_system_json(text):
     raw = obj.get("weights")
     if raw is not None and not isinstance(raw, dict):
         raise FormatError("'weights' must be an object from element ids to weights")
-    weights = {e: Fraction(e) for e in covered}
+    weights = {e: e for e in covered}
     if raw is not None:
         weights.update((_json_int(key, "element id"), _json_weight(value))
                        for key, value in raw.items())

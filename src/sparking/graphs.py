@@ -22,7 +22,6 @@ graphic matroid (``matroids._checked_side``): its cover precondition
 comes off the exactly-one pools of the boundary system's subfamily table.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
 
@@ -226,11 +225,11 @@ def is_g_parking_function(graph, values):
     return _burner(graph)(values)
 
 
-@dataclass
 class GParkingReport:
     """Both enumerations of the same family, for the equivalence check."""
-    degree_defined: list
-    star_defined: list
+
+    def __init__(self, degree_defined, star_defined):
+        self.degree_defined, self.star_defined = degree_defined, star_defined
 
     @property
     def equal(self):

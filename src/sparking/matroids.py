@@ -19,14 +19,14 @@ pools (``SetSystem.pools``); the bracket ANDs the cached columns
 pool's bits and ORs over the pools.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
+from math import comb
 
 from .enumeration import _BITS, paired_images, table_sets
-from .systems import SetSystem, Universe, VerificationError, _system_over
+from .systems import MAX_CHECK_CANDIDATES, SetSystem, Universe, VerificationError, _system_over
 
-# candidate extensions ``find_cocircuit_cover_families`` tries before it gives up
+# candidate extensions ``find_cocircuit_cover_families`` tries before it refuses
 MAX_COVER_NODES = 200000
 
 
@@ -176,9 +176,13 @@ class Matroid:
 
 
 def uniform_matroid(n, r):
-    """Ground set 1..n with every r-subset a basis."""
+    """Ground set 1..n with every r-subset a basis; refuses more than
+    ``MAX_CHECK_CANDIDATES`` 64-bit words of n-bit basis masks up front."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    if comb(n, r) * -(-n // 64) > MAX_CHECK_CANDIDATES:
+        raise ValueError(f"too large: C({n}, {r}) = {comb(n, r)} bases of {n} bits; building "
+                         f"their masks is capped at {MAX_CHECK_CANDIDATES} 64-bit words")
     return Matroid._by_construction(range(1, n + 1),
                                     map(sum, combinations([1 << b for b in range(n)], r)),
                                     lambda m: min(m.bit_count(), r))
@@ -207,7 +211,6 @@ def _bracket(matroid, system):
     return set(compress(matroid._masks, f"{hit:b}"[::-1].encode().translate(_BITS)))
 
 
-@dataclass
 class BasesIdentityReport:
     """Outcome of checking one parking-set/basis identity.
 
@@ -217,12 +220,10 @@ class BasesIdentityReport:
     is a union of circuits respectively cocircuits, the
     intersected-with-bases one otherwise).
     """
-    side: str
-    form: str
-    parts: tuple
-    parts_are_unions: bool
-    lhs: frozenset
-    rhs: frozenset
+
+    def __init__(self, side, form, parts, parts_are_unions, lhs, rhs):
+        self.side, self.form, self.parts = side, form, parts
+        self.parts_are_unions, self.lhs, self.rhs = parts_are_unions, lhs, rhs
 
     @property
     def equal(self):
@@ -244,16 +245,16 @@ _FORMS = {"circuit": ("complements-of-parking-sets", "bases-and-complements"),
           "cocircuit": ("parking-sets", "bases-and-parking-sets")}
 
 
-@dataclass
 class _Side:
     """One side of the theorem for one parts family, from ``_checked_side``."""
-    matroid: Matroid
-    name: str            # "circuit" or "cocircuit"
-    system: SetSystem    # the parts, over the matroid's identity universe
-    weighted: object     # the parts over the caller's weights, or None
-    reference: Matroid   # ``matroid``, or its dual on the cocircuit side
-    xor: int             # mapped parking set ^ xor = its basis: the ground's mask, or 0
-    non_union: object    # index of the first part not a union of circuits of reference, or None
+
+    def __init__(self, matroid, name, system, weighted, reference, xor, non_union):
+        self.matroid, self.name = matroid, name  # name: "circuit" or "cocircuit"
+        self.system = system        # the parts, over the matroid's identity universe
+        self.weighted = weighted    # the parts over the caller's weights, or None
+        self.reference = reference  # ``matroid``, or its dual on the cocircuit side
+        self.xor = xor              # parking set ^ xor = its basis: the ground's mask, or 0
+        self.non_union = non_union  # index of the first part that is no union of circuits, or None
 
     @cached_property
     def target(self):
@@ -386,7 +387,8 @@ def find_cocircuit_cover_families(matroid, limit=1):
     stars).  Families are returned as sorted tuples; the search walks
     strictly increasing candidate indices, which loses nothing because
     the cover property ignores the family order and repeated parts never
-    survive (their pairwise exactly-one set is empty).
+    survive (their pairwise exactly-one set is empty).  Refuses when
+    ``MAX_COVER_NODES`` extensions run out before ``limit`` are found.
     """
     k = matroid.rank_value
     if k == 0:
@@ -410,8 +412,11 @@ def find_cocircuit_cover_families(matroid, limit=1):
             return
         for idx in range(start, len(candidates)):
             nodes += 1
-            if len(results) >= limit or nodes > MAX_COVER_NODES:
+            if len(results) >= limit:
                 return
+            if nodes > MAX_COVER_NODES:
+                raise ValueError(f"too large: {len(results)} of {limit} families found within "
+                                 f"the cap of {MAX_COVER_NODES} candidate extensions")
             a = masks[idx]
             grown = [(once | a, twice | once & a) for once, twice in folds]
             if all(dependent(*fold) for fold in grown):

@@ -1,13 +1,13 @@
 """Finite set systems over weighted ground elements.
 
 A system is an ordered family A_1..A_k of finite sets together with a
-table of pairwise-distinct rational element weights.  This module holds
-the exactly-one operation, the 2^k parking-function / parking-set test
-oracles, the greedy permutation certificates that validate all input, the
-reductions the mapping algorithms lean on, and the weight rank ``delta``.
-A ``Universe`` owns the one bit order of all its systems, and
-``SetSystem.masks`` is a family in it: the mapping sweep and the
-certificates' greedy peel run on those masks, and their
+table of pairwise-distinct rational element weights, ints when integral.
+This module holds the exactly-one operation, the 2^k parking-function /
+parking-set test oracles, the greedy permutation certificates that
+validate all input, the reductions the mapping algorithms lean on, and
+the weight rank ``delta``.  A ``Universe`` owns the one bit order of all
+its systems, and ``SetSystem.masks`` is a family in it: the mapping sweep
+and the certificates' greedy peel run on those masks, and their
 ``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
 pool mask per subfamily for the enumeration, matroid and graph layers,
 and ``SetSystem.pools`` its inclusion-minimal pools.
@@ -18,9 +18,8 @@ integers; the default weight of an element is its own id.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from fractions import Fraction
 
 # The definitional oracles and the subfamily table walk all 2^k - 1 index
 # subsets and refuse beyond this; the certificates that validate input have no cap.
@@ -42,7 +41,10 @@ class Universe:
             if isinstance(element, bool) or not isinstance(element, int) or element <= 0:
                 raise ValueError(
                     f"element ids must be positive integers, got {element!r}")
-            table[element] = Fraction(w)
+            if not isinstance(w, int):  # fractions loads only for these
+                from fractions import Fraction
+                w = Fraction(w)
+            table[element] = int(w) if w.denominator == 1 else w
         if len(set(table.values())) != len(table):
             raise ValueError("element weights must be pairwise distinct")
         self._table = table
@@ -341,15 +343,13 @@ def is_parking_set(system, elements):
     return True
 
 
-@dataclass(frozen=True)
-class ParkingSetCertificate:
+class ParkingSetCertificate(namedtuple("ParkingSetCertificate", "pi witnesses")):
     """Permutation certificate for parking-set membership.
 
     At step i the candidate set meets the private part of set pi[i-1] in
     exactly one element, recorded in witnesses.
     """
-    pi: tuple
-    witnesses: tuple
+    __slots__ = ()
 
 
 def parking_set_permutation(system, elements):

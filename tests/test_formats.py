@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,47 @@ def test_parse_set_system_json_mirror():
         parse_set_system_json("[1, 2]")
     with pytest.raises(FormatError):
         parse_set_system_json("{nope")
+
+
+WEIGHT_TOKENS = ["0", "7", "-3", "+5", "-0", "007", "9" * 60, "0.1", "1/3", "2.5e-1", "-4/6",
+                 "6/3", "2.0", "1e3", "1.", ".5", "1_0", "x", "1/0", "+-1", "3/-4", "0x10",
+                 "inf", "nan", "\u0663", "\u00b2", "9" * 5000]
+OTHER_WEIGHT = 10 ** 70 + 1
+
+
+def _fraction_or_none(token):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@pytest.mark.parametrize("token", WEIGHT_TOKENS,
+                         ids=lambda token: token if len(token) < 20 else f"{len(token)} digits")
+def test_weight_tokens_parse_like_fraction(token):
+    # an integer token becomes an int equal to, and hashed like, the
+    # Fraction it replaces; every other token takes Fraction's own verdict
+    expected = _fraction_or_none(token)
+    text = f"1 2\nweights {token} {OTHER_WEIGHT}\n1 2\n"
+    payload = json.dumps({"sets": [[1, 2]], "weights": {"1": token, "2": OTHER_WEIGHT}})
+    for parse, source in ((parse_set_system, text), (parse_set_system_json, payload)):
+        if expected is None:
+            with pytest.raises(FormatError, match=re.escape(f"bad weight {token!r}")):
+                parse(source)
+            continue
+        weight = parse(source).weight(1)
+        assert weight == expected and hash(weight) == hash(expected)
+        assert type(weight) is (int if expected.denominator == 1 else Fraction)
+        assert parse(source).weight(2) == OTHER_WEIGHT
+
+
+@pytest.mark.parametrize("number", ["7", "-3", "9" * 60, "0.1", "2.5e-1", "2.0", "1e3", "-0.0"],
+                         ids=lambda number: number if len(number) < 20 else f"{len(number)} digits")
+def test_json_number_weights_parse_like_before(number):
+    value = json.loads(number)
+    expected = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    weight = parse_set_system_json(f'{{"sets": [[1]], "weights": {{"1": {number}}}}}').weight(1)
+    assert weight == expected and type(weight) is (int if expected.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("text", [

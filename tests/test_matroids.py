@@ -1,11 +1,14 @@
 import random
+import time
 import warnings
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparking.matroids
 import sparking.systems
 from sparking import (
     Matroid,
@@ -47,6 +50,22 @@ def test_uniform_matroid_counts():
     assert uniform_matroid(3, 3).bases == (frozenset({1, 2, 3}),)
     with pytest.raises(ValueError):
         uniform_matroid(3, 4)
+
+
+@pytest.mark.parametrize("n, r", [(40, 20), (40000, 1)])
+def test_uniform_matroid_beyond_the_cap_is_refused_at_once(n, r, tmp_path, capsys):
+    # C(40, 20) masks, or 40,000 masks of 40,000 bits, would not fit in memory
+    (tmp_path / "parts.txt").write_text("1 2\n1 2\n")
+    start = time.perf_counter()
+    assert main(["matroid", f"uniform:{n}:{r}", "--parts", str(tmp_path / "parts.txt"),
+                 "--side", "cocircuit"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: too large: C({n}, {r}) = {comb(n, r)} bases of {n} bits; building their "
+        f"masks is capped at 10000000 64-bit words\n")
+    assert captured.out == ""
+    assert len(uniform_matroid(6, 3).bases) == 20
 
 
 def test_exchange_validation_rejects_non_matroid():
@@ -438,6 +457,18 @@ def test_search_finds_star_family_for_graphs(k3):
 
 def test_search_finds_nothing_for_u42(u42):
     assert find_cocircuit_cover_families(u42, limit=3) == []
+
+
+def test_a_capped_cover_search_refuses_instead_of_returning_short(monkeypatch):
+    # graphic K5 has cover families: 50 candidate extensions find two of
+    # them, and the third needs more
+    matroid = graphic_matroid(complete_graph(5))
+    found = find_cocircuit_cover_families(matroid, 3)
+    monkeypatch.setattr(sparking.matroids, "MAX_COVER_NODES", 50)
+    assert find_cocircuit_cover_families(matroid, 2) == found[:2]
+    with pytest.raises(ValueError, match=r"^too large: 2 of 3 families found within the cap "
+                                         r"of 50 candidate extensions$"):
+        find_cocircuit_cover_families(matroid, 3)
 
 
 def _lines(rows):

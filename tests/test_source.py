@@ -1,7 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import sparking
+from sparking import SetSystem, parking_set_permutation, sigma
 
 SOURCES = sorted(Path(sparking.__file__).parent.glob("*.py"))
 
@@ -169,3 +175,29 @@ def test_the_universe_alone_owns_the_bit_order():
         empty += [f"{path.name}:{line}" for line in _empty_families(tree)]
     assert owners == {("systems.py", "Universe", name) for name in coders}
     assert not empty
+
+
+# modules a run loads on first use, if at all: every CLI run pays for what
+# ``import sparking.cli`` loads, and these were a third of a run's start-up
+LAZY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "json", "pathlib",
+                "random", "importlib.resources")
+
+
+def test_import_loads_no_module_a_run_may_not_use():
+    code = ("import sys; before = set(sys.modules); import sparking, sparking.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sparking.__file__).resolve().parents[1]))
+    added = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "sparking.cli" in added
+    assert not set(LAZY_MODULES).intersection(added)
+    # the records that lost their dataclass keep equality, hashing and immutability
+    system = SetSystem([{1, 2, 3}, {1, 2, 4}])
+    records = [sigma(system, (1, 0))[1], parking_set_permutation(system, {1, 3})]
+    for record, again in zip(records, [sigma(system, (1, 0))[1],
+                                       parking_set_permutation(system, {1, 3})]):
+        assert record == again and hash(record) == hash(again) and record is not again
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ())
+    assert records[0] != sigma(system, (0, 1))[1]

@@ -57,6 +57,17 @@ def test_universe_accepts_rationals():
     assert u.weight(2) == Fraction(1, 3)
 
 
+def test_integral_weights_are_ints_that_stand_in_for_their_fractions():
+    given = {1: 7, 2: Fraction(6, 2), 3: 2.5, 4: True, 5: "-4", 6: Fraction(1, 3)}
+    u = Universe(given)
+    assert [type(u.weight(e)) for e in sorted(given)] == [int, int, Fraction, int, int, Fraction]
+    for e, w in given.items():
+        assert u.weight(e) == Fraction(w) and hash(u.weight(e)) == hash(Fraction(w))
+    assert u == Universe({e: Fraction(w) for e, w in given.items()})
+    assert hash(u) == hash(Universe({e: Fraction(w) for e, w in given.items()}))
+    assert u.order == (5, 6, 4, 3, 2, 1)
+
+
 def test_system_rejects_elements_outside_universe():
     with pytest.raises(ValueError):
         SetSystem([{1, 2}], Universe.identity({1}))
