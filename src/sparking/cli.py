@@ -15,6 +15,7 @@ from .enumeration import random_set_system, table_sets, tree_pairs, verify_bijec
 from .bijections import rho, sigma
 from .formats import (
     FormatError,
+    _ints,
     format_function,
     format_set,
     load_set_system,
@@ -141,7 +142,7 @@ def _load_matroid(source):
         parts = source.split(":")
         if len(parts) != 3:
             raise FormatError("expected uniform:n:r")
-        return uniform_matroid(int(parts[1]), int(parts[2]))
+        return uniform_matroid(*_ints(parts[1:], None, "uniform:n:r field"))
     if source.startswith("graphic:"):
         return graphic_matroid(parse_multigraph(_read(source.split(":", 1)[1])))
     return parse_matroid(_read(source))

@@ -32,16 +32,23 @@ def _content_lines(text):
     return out
 
 
+def _is_int(token):
+    """The readers' one integer rule: ASCII digits with an optional sign."""
+    return token.isascii() and (token[1:] if token[:1] in "+-" else token).isdigit()
+
+
 def _ints(tokens, line, what="value"):
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise FormatError(f"expected integer {what}s, got {tokens!r}", line) from None
+        if all(map(_is_int, tokens)):
+            return [int(t) for t in tokens]
+    except ValueError:  # beyond the digit limit
+        pass
+    raise FormatError(f"expected integer {what}s, got {tokens!r}", line)
 
 
 def _exact(token):
     """``token`` as an int, else a ``Fraction``, refusing an exponent beyond the digit limit."""
-    if token.isascii() and (token[1:] if token[:1] in "+-" else token).isdigit():
+    if _is_int(token):
         return int(token)
     _, e, exponent = token.lower().partition("e")
     limit = sys.get_int_max_str_digits()
@@ -96,13 +103,14 @@ def parse_set_system(text):
 
 
 def _json_int(value, what):
-    """An integer field of the JSON format; bools are not integers."""
+    """An integer field of the JSON format: an int (no bool or float) or a
+    string that ``_is_int`` accepts."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"expected an integer {what}, got {value!r}") from None
+        if type(value) is int or isinstance(value, str) and _is_int(value):
+            return int(value)
+    except ValueError:  # beyond the digit limit
+        pass
+    raise FormatError(f"expected an integer {what}, got {value!r}")
 
 
 def _json_weight(value):

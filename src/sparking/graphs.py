@@ -1,17 +1,18 @@
 """Multigraphs, their matroids, vertex stars and the tree bijections.
 
-Vertices are labeled 0..n with 0 as the root.  Spanning trees are
-enumerated by brute force, refused beyond ``MAX_CHECK_CANDIDATES``
-candidate edge sets, and cross-checkable against a
-deletion-contraction count.  The star sets of the non-root vertices
-form the cocircuit-side family whose parking functions are exactly the
+Vertices are labeled 0..n with 0 as the root.  ``graphic_matroid`` lists
+the spanning trees once, as masks: the (|V| - 1)-edge sets that meet
+every star (``enumeration.pool_filter``) and that union-find ranks
+|V| - 1, refused beyond ``MAX_CHECK_CANDIDATES`` candidates;
+``spanning_trees`` decodes them, and a deletion-contraction count
+cross-checks their number.  The star sets of the non-root vertices form
+the cocircuit-side family whose parking functions are exactly the
 degree-defined parking functions of the graph and whose mapped sets are
 exactly the spanning trees; face-boundary families supplied by the
 caller drive the circuit-side variant.  Both tree bijections pair off
-the sweep tree (``bijections.walk``) against ``graphic_matroid``'s bases,
-bounded by the candidate cap of ``spanning_trees``; the face side, whose
-cover check reads the subfamily table, also refuses more than
-``MAX_CHECK_SETS`` sets (``systems._subset_budget``) before any tree.
+the sweep tree (``bijections.walk``) against these bases; the face
+side, whose cover check reads the subfamily table, also refuses more
+than ``MAX_CHECK_SETS`` sets (``systems._subset_budget``) before any tree.
 
 G-parking functions are decided by Dhar's burning algorithm (Dhar 1990;
 Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
@@ -22,13 +23,13 @@ graphic matroid (``matroids._checked_side``): its cover precondition
 comes off the exactly-one pools of the boundary system's subfamily table.
 """
 
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 
 from .bijections import walk
-from .enumeration import paired_images
+from .enumeration import paired_images, pool_filter
 from .matroids import Matroid, PreconditionError, _checked_side, _independent_row
-from .systems import MAX_CHECK_CANDIDATES, Universe, _subset_budget, _system_over
+from .systems import MAX_CHECK_CANDIDATES, _subset_budget, _system_over
 
 
 class Multigraph:
@@ -74,13 +75,8 @@ class Multigraph:
 
 def complete_graph(n_vertices):
     """Complete simple graph on 0..n-1, edge ids 1.. in endpoint order."""
-    edges = []
-    next_id = 1
-    for u in range(n_vertices):
-        for v in range(u + 1, n_vertices):
-            edges.append((next_id, u, v))
-            next_id += 1
-    return Multigraph(n_vertices, edges)
+    pairs = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices)]
+    return Multigraph(n_vertices, [(i, u, v) for i, (u, v) in enumerate(pairs, start=1)])
 
 
 def _find(parent, a):
@@ -91,37 +87,15 @@ def _find(parent, a):
     return a
 
 
-def _spans_without_cycle(edge_list, n_vertices):
-    parent = list(range(n_vertices))
-    for _, u, v in edge_list:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def spanning_trees(graph):
-    """All spanning-tree edge sets, brute force over (n_vertices-1)-subsets
-    of the non-loop edges, sorted by their sorted edge-id tuples.  Refuses
-    more than ``MAX_CHECK_CANDIDATES`` subsets before it tries any."""
-    if not graph.is_connected():
-        raise ValueError("graph is not connected")
-    n = graph.n_vertices - 1
-    non_loop = sorted(e for e in graph.edges if e[1] != e[2])
-    candidates = comb(len(non_loop), n)
-    if candidates > MAX_CHECK_CANDIDATES:
-        raise ValueError(
-            f"too large: C({len(non_loop)}, {n}) = {candidates} candidate edge sets; "
-            f"listing the spanning trees is capped at {MAX_CHECK_CANDIDATES}")
-    return [frozenset(edge[0] for edge in combo)
-            for combo in combinations(non_loop, n)
-            if _spans_without_cycle(combo, graph.n_vertices)]
+    """All spanning-tree edge sets: the bases of ``graphic_matroid``, sorted
+    by their sorted edge-id tuples, with its refusals."""
+    return list(graphic_matroid(graph).bases)
 
 
 def deletion_contraction_count(graph):
     """Spanning-tree count by deletion-contraction; independent of the
-    brute-force enumeration."""
+    listing in ``graphic_matroid``."""
     if not graph.is_connected():
         raise ValueError("graph is not connected")
 
@@ -149,9 +123,17 @@ def deletion_contraction_count(graph):
 def graphic_matroid(graph):
     """Matroid on the edge ids whose bases are the spanning trees; loops
     live in the ground set but in no basis.  The rank of an edge set is
-    the number of merges union-find makes along it (n minus the number
-    of components it leaves); bit b stands for the b-th smallest edge id."""
-    universe = Universe.identity(graph.edge_ids)
+    the number of merges union-find makes along it; bit b stands for the
+    b-th smallest edge id.  The bases are the (|V| - 1)-sets of non-loop
+    edges of full rank, in combination order, ranked only if they meet
+    every star (``pool_filter``), as a spanning tree does.  Refuses a
+    disconnected graph, then more than ``MAX_CHECK_CANDIDATES`` candidates."""
+    stars = star_system(graph)  # refuses a disconnected graph
+    n, covered = stars.k, len(stars.covered)  # covered: the non-loop edges
+    if comb(covered, n) > MAX_CHECK_CANDIDATES:
+        raise ValueError(
+            f"too large: C({covered}, {n}) = {comb(covered, n)} candidate edge sets; "
+            f"listing the spanning trees is capped at {MAX_CHECK_CANDIDATES}")
     ends = [(u, v) for _, u, v in sorted(graph.edges)]
 
     def rank(mask):
@@ -165,19 +147,16 @@ def graphic_matroid(graph):
                     merges += 1
         return merges
 
-    return Matroid._by_construction(graph.edge_ids, map(universe.mask_of, spanning_trees(graph)),
-                                    rank)
+    trees = [m for m in pool_filter(stars.masks, stars.masks) if rank(m) == n]
+    return Matroid._by_construction(graph.edge_ids, trees, rank)
 
 
 def star_sets(graph):
     """Non-loop edges at each non-root vertex, for vertices 1..n."""
     if not graph.is_connected():
         raise ValueError("graph is not connected")
-    stars = []
-    for vertex in range(1, graph.n_vertices):
-        stars.append(frozenset(e for e, u, v in graph.edges
-                               if u != v and vertex in (u, v)))
-    return stars
+    return [frozenset(e for e, u, v in graph.edges if u != v and vertex in (u, v))
+            for vertex in range(1, graph.n_vertices)]
 
 
 def star_system(graph, weights=None):
@@ -325,19 +304,12 @@ def random_connected_multigraph(rng, max_vertices=5, max_edges=8):
     """Seeded random connected multigraph: a random spanning tree plus
     extra random edges, loops and parallels allowed."""
     n_vertices = rng.randint(2, max_vertices)
-    edges = []
-    next_id = 1
-    attached = [0]
+    edges, attached = [], [0]
     order = list(range(1, n_vertices))
     rng.shuffle(order)
     for vertex in order:
-        edges.append((next_id, rng.choice(attached), vertex))
+        edges.append((len(edges) + 1, rng.choice(attached), vertex))
         attached.append(vertex)
-        next_id += 1
-    extra = rng.randint(0, max_edges - (n_vertices - 1))
-    for _ in range(extra):
-        u = rng.randrange(n_vertices)
-        v = rng.randrange(n_vertices)
-        edges.append((next_id, u, v))
-        next_id += 1
+    for _ in range(rng.randint(0, max_edges - (n_vertices - 1))):
+        edges.append((len(edges) + 1, rng.randrange(n_vertices), rng.randrange(n_vertices)))
     return Multigraph(n_vertices, edges)

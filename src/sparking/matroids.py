@@ -75,13 +75,28 @@ class Matroid:
         self.rank_value = self._masks[0].bit_count()
 
     def _check_exchange(self):
-        pool = set(self.bases)
-        for b1 in self.bases:
-            for b2 in self.bases:
-                for x in b1 - b2:
-                    if not any((b1 - {x}) | {y} in pool for y in b2 - b1):
-                        raise ValueError(
-                            f"basis exchange fails for {sorted(b1)} / {sorted(b2)} at {x}")
+        """Basis exchange by ``_columns``: the bases failing b1 at x hold no
+        y with b1 - x + y a basis (y = x keeps b1).  Names the first failing
+        pair; refuses more than ``MAX_CHECK_CANDIDATES`` (b1, b2, x) checks."""
+        masks, r, n = self._masks, self.rank_value, len(self.ground)
+        if len(masks) ** 2 * r > MAX_CHECK_CANDIDATES:
+            raise ValueError(f"too large: {len(masks)} bases of rank {r} need {len(masks) ** 2 * r}"
+                             f" basis exchange checks; checking is capped at {MAX_CHECK_CANDIDATES}")
+        pool, columns, past = set(masks), self._columns, 1 << len(masks)
+        for m1 in masks:
+            fails = [(past, 0)]  # per x in b1: the first basis failing at x, as a bit, and x
+            for x in range(n):
+                if m1 >> x & 1:
+                    held = 0
+                    for y in range(n):
+                        if m1 ^ 1 << x | 1 << y in pool:
+                            held |= columns[y]
+                    fails.append((~held & held + 1, x))
+            low, x = min(fails)
+            if low < past:
+                b1, b2 = map(self._universe.elements_of, (m1, masks[low.bit_length() - 1]))
+                raise ValueError(f"basis exchange fails for {sorted(b1)} / {sorted(b2)} at "
+                                 f"{self._universe.order[x]}")
 
     def _rank_over_bases(self, mask):
         return max((b & mask).bit_count() for b in self._masks)

@@ -219,8 +219,11 @@ def test_graph_star_side(k3_file, capsys):
 
 
 def test_graph_failed_verdict_exits_1(monkeypatch, tmp_path, capsys):
-    trees = sparking.graphs.spanning_trees
-    monkeypatch.setattr(sparking.graphs, "spanning_trees", lambda graph: trees(graph)[1:])
+    # graphic_matroid lists the trees off pool_filter; dropping its first
+    # candidate, the star at the root, leaves 15 of K4's 16 trees
+    listing = sparking.graphs.pool_filter
+    monkeypatch.setattr(sparking.graphs, "pool_filter", lambda masks, pools: listing(masks, pools)[1:])
+    assert len(sparking.graphs.graphic_matroid(complete_graph(4)).bases) == 15
     with pytest.raises(VerificationError):
         spanning_tree_bijection(complete_graph(4))
     path = tmp_path / "k4.txt"
@@ -251,8 +254,9 @@ K5_CONE_FACES = "1 2 5\n1 3 6\n1 4 7\n2 3 8\n2 4 9\n3 4 10\n"
 
 @pytest.mark.parametrize("faces", [None, K5_CONE_FACES], ids=["stars", "faces"])
 def test_graph_enumerates_the_spanning_trees_once(faces, tmp_path, capsys):
-    # counted by code object, so a call through any imported name is seen
-    code = sparking.graphs.spanning_trees.__code__
+    # graphic_matroid lists the trees by one pool_filter pass over the
+    # stars; counted by code object, so a call through any name is seen
+    code = sparking.enumeration.pool_filter.__code__
     calls = []
 
     def profile(frame, event, arg):

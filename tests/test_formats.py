@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparking import SetSystem, Universe
+from sparking.cli import main
 from sparking.formats import (
     FormatError,
     format_function,
@@ -245,6 +246,35 @@ def test_text_and_json_forms_round_trip(drawn):
 def test_load_set_system_dispatches():
     assert load_set_system(U42_TEXT).k == 2
     assert load_set_system('{"sets": [[1]]}').k == 1
+
+
+@pytest.mark.parametrize("token", ["\u0664", "0_4", "\uff13"],
+                         ids=["arabic-indic-4", "underscore", "fullwidth-3"])
+def test_text_ids_follow_the_one_integer_rule(token, tmp_path, capsys):
+    # int() takes all three; the readers take ASCII digits with a sign only
+    for reader, text in [(parse_set_system, f"1 {token}\n1\n"),
+                         (parse_set_system, f"1 4\n1 {token}\n"),
+                         (parse_matroid, f"ground 4 1\n{token}\n"),
+                         (parse_multigraph, f"vertices 5\n1 0 {token}\n"),
+                         (parse_faces, f"{token}\n")]:
+        with pytest.raises(FormatError, match="expected integer"):
+            reader(text)
+    (tmp_path / "s.txt").write_text(f"1 4\n1 {token}\n")
+    assert main(["verify", str(tmp_path / "s.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: expected integer element ids")
+    assert parse_set_system("1 4\n+1 4\n").sets == (frozenset({1, 4}),)
+
+
+@pytest.mark.parametrize("value", ["1.9", '"1_0"', '"\\u0663"'],
+                         ids=["float", "underscore", "arabic-indic-3"])
+def test_json_ids_follow_the_one_integer_rule(value):
+    with pytest.raises(FormatError, match="expected an integer element id"):
+        parse_set_system_json(f'{{"sets": [[{value}]]}}')
+    if value.startswith('"'):
+        with pytest.raises(FormatError, match="expected an integer element id"):
+            parse_set_system_json(f'{{"sets": [[1]], "weights": {{{value}: 1}}}}')
+    system = parse_set_system_json('{"sets": [[1, "2", "+3"]], "weights": {"3": 5}}')
+    assert system.sets == (frozenset({1, 2, 3}),) and system.weight(3) == 5
 
 
 def test_parse_matroid():

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -75,6 +75,45 @@ def test_spanning_trees_ignore_loops():
 def test_spanning_trees_require_connectivity():
     with pytest.raises(ValueError):
         spanning_trees(Multigraph(3, [(1, 0, 1)]))
+
+
+def _spans_without_cycle(edges, n_vertices):
+    parent = list(range(n_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for _, u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def _brute_force_trees(graph):
+    """The reference listing: every (|V| - 1)-set of non-loop edges with
+    no cycle, in combination order of the edge ids."""
+    non_loop = sorted(e for e in graph.edges if e[1] != e[2])
+    return [frozenset(e for e, _, _ in combo)
+            for combo in combinations(non_loop, graph.n_vertices - 1)
+            if _spans_without_cycle(combo, graph.n_vertices)]
+
+
+def test_spanning_trees_match_the_brute_force_listing():
+    # list for list, order included, as masks too
+    rng = random.Random(16)
+    graphs = [random_connected_multigraph(rng, 6, 10) for _ in range(60)]
+    graphs += [complete_graph(n) for n in range(1, 8)]
+    graphs += [Multigraph(1, [(1, 0, 0), (2, 0, 0)]),
+               Multigraph(25, [(i + 1, i, i + 1) for i in range(24)])]
+    for g in graphs:
+        trees = _brute_force_trees(g)
+        assert spanning_trees(g) == trees
+        mask_of = Universe.identity(g.edge_ids).mask_of
+        assert graphic_matroid(g)._masks == tuple(map(mask_of, trees))
 
 
 def test_deletion_contraction_matches_cayley():

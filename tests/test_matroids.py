@@ -32,6 +32,7 @@ from sparking.graphs import (
 )
 from sparking.cli import main
 from sparking.enumeration import pool_filter
+from sparking.formats import parse_matroid
 from sparking.matroids import _bracket, _checked_side, _independent_row, _parts_system
 from sparking.systems import SetSystem, _system_over, exactly_one_sets
 
@@ -66,6 +67,46 @@ def test_uniform_matroid_beyond_the_cap_is_refused_at_once(n, r, tmp_path, capsy
         f"masks is capped at 10000000 64-bit words\n")
     assert captured.out == ""
     assert len(uniform_matroid(6, 3).bases) == 20
+
+
+@pytest.mark.parametrize("spec", ["uniform:4_0:2", "uniform:x:2"])
+def test_uniform_spec_follows_the_one_integer_rule(spec, tmp_path, capsys):
+    # 4_0 would run as U(2, 40), and x would print int()'s own message
+    (tmp_path / "parts.txt").write_text("1 2\n1 2\n")
+    assert main(["matroid", spec, "--parts", str(tmp_path / "parts.txt"),
+                 "--side", "cocircuit"]) == 2
+    name = spec.split(":")[1]
+    assert capsys.readouterr().err == (
+        f"error: expected integer uniform:n:r fields, got ['{name}', '2']\n")
+
+
+def _uniform_matroid_file(tmp_path, n, r):
+    path = tmp_path / f"u{r}{n}.txt"
+    path.write_text(f"ground {n} {r}\n" + "".join(
+        " ".join(map(str, b)) + "\n" for b in combinations(range(1, n + 1), r)))
+    return path
+
+
+def test_a_matroid_file_beyond_the_exchange_cap_is_refused_at_once(tmp_path, capsys):
+    # U(7, 14): 3,432 bases, 3432^2 * 7 = 82,450,368 exchange checks
+    path, parts = _uniform_matroid_file(tmp_path, 14, 7), tmp_path / "parts.txt"
+    parts.write_text("1 2\n1 2\n")
+    start = time.perf_counter()
+    assert main(["matroid", str(path), "--parts", str(parts), "--side", "cocircuit"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: too large: 3432 bases of rank 7 need 82450368 basis "
+                            "exchange checks; checking is capped at 10000000\n")
+    assert captured.out == ""
+
+
+def test_a_924_basis_matroid_file_loads_in_under_2_s(tmp_path):
+    # U(6, 12): every pair of its 924 bases passes the exchange check
+    text = _uniform_matroid_file(tmp_path, 12, 6).read_text()
+    start = time.perf_counter()
+    matroid = parse_matroid(text)
+    assert time.perf_counter() - start < 2
+    assert matroid == uniform_matroid(12, 6)
 
 
 def test_exchange_validation_rejects_non_matroid():

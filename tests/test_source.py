@@ -96,9 +96,13 @@ def test_graph_and_matroid_layers_read_the_system_table():
 def test_graph_layer_walks_no_subsets():
     # G-parking functions burn on the graph itself, and the star side, the
     # matroid sides and the cover search read their systems' cached tables;
-    # neither module walks subsets of its own
+    # neither module walks subsets of its own.  The graph layer lists its
+    # trees by pool_filter and union-find alone: no brute-force combinations,
+    # and no pool or table of the star system, so the trees never come from
+    # the parking sets they are checked against
     names = {"_index_subsets", "exactly_one_sets", "box_filter", "subfamily_table"}
-    assert not _uses("graphs.py", names) + _uses("matroids.py", names)
+    trees = {"combinations", "pools", "table", "table_sets"}
+    assert not _uses("graphs.py", names | trees) + _uses("matroids.py", names)
 
 
 def test_certificates_peel_the_compiled_masks():
