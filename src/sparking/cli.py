@@ -37,14 +37,23 @@ def _read(path):
 def _resolve_seed(args):
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("SPARKING_SEED", "0"))
+    seed = os.environ.get("SPARKING_SEED", "0")
+    try:
+        return _int(seed)
+    except argparse.ArgumentTypeError as exc:
+        raise FormatError(f"SPARKING_SEED: {exc}") from None
+
+
+def _int(text):
+    """An integer option value, by the readers' one integer rule."""
+    try:
+        return _ints([text], None)[0]
+    except FormatError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -236,9 +245,9 @@ def build_parser():
     p = sub.add_parser("map", help="apply one mapping to one input")
     p.add_argument("system")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho", nargs="+", type=int, metavar="ELEM",
+    group.add_argument("--rho", nargs="+", type=_int, metavar="ELEM",
                        help="parking-set elements; outputs the parking function")
-    group.add_argument("--sigma", nargs="+", type=int, metavar="VALUE",
+    group.add_argument("--sigma", nargs="+", type=_int, metavar="VALUE",
                        help="parking-function values; outputs the parking set")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -248,7 +257,7 @@ def build_parser():
     p.add_argument("system", nargs="?")
     p.add_argument("--random", type=_positive_int, metavar="N",
                    help="verify N seeded random systems instead")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--max-k", type=_positive_int, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

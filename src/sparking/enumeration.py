@@ -28,11 +28,18 @@ and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
 definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
-it the table's families of every small system of a generator.
+it the table's families of every small system of a generator.  The scan
+deals those systems round-robin into one share per CPU of the process's
+affinity mask, so a share skips the others' systems before building them;
+it scans one share itself and forks a child for each other one, which
+sends back its counts and failure lines through a pipe with ``marshal``.
 """
 
+import marshal
+import os
+import sys
 import warnings
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, compress, islice, permutations, product
 from math import comb, prod
 
 from .bijections import sweep, walk
@@ -224,11 +231,23 @@ def all_mask_systems(max_k, max_universe, canonical=True):
     of the set indices is emitted — all verified properties are
     invariant under that relabeling.
     """
+    for _, k, m, masks in _dealt_mask_systems(max_k, max_universe, canonical, 0, 1):
+        yield k, m, masks
+
+
+def _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
+    """(index, k, m, masks) for the systems of :func:`all_mask_systems`
+    whose sequence index, counted over every element-pattern sequence in
+    ``product`` order, is ``share`` modulo ``shares``.  The other shares'
+    sequences are skipped before any mask is built or relabeling tried."""
+    start = 0               # sequence index of the current (k, m) block
     for k in range(1, max_k + 1):
         patterns = range(1, 1 << k)
         index_perms = list(permutations(range(k))) if k > 1 else []
         for m in range(max_universe + 1):
-            for seq in product(patterns, repeat=m):
+            first = (share - start) % shares
+            dealt = islice(product(patterns, repeat=m), first, None, shares)
+            for index, seq in enumerate(dealt):
                 masks = [0] * k
                 for position, pattern in enumerate(seq):
                     bit = 1 << position
@@ -240,7 +259,8 @@ def all_mask_systems(max_k, max_universe, canonical=True):
                     if any(tuple(masks[p[j]] for j in range(k)) < masks
                            for p in index_perms):
                         continue
-                yield k, m, masks
+                yield start + first + index * shares, k, m, masks
+            start += len(patterns) ** m
 
 
 def system_from_masks(masks):
@@ -370,25 +390,120 @@ def table_sets(system):
 
 
 class ScanReport:
-    """Aggregate outcome of an exhaustive roundtrip sweep."""
+    """Aggregate outcome of an exhaustive roundtrip sweep; ``shares`` is
+    the number of shares it was dealt in, each but the first in a forked
+    child."""
 
-    def __init__(self, systems=0, members=0, failures=None):
+    def __init__(self, systems=0, members=0, failures=None, shares=1):
         self.systems, self.members = systems, members  # members: parking functions round-tripped
         self.failures = [] if failures is None else failures
+        self.shares = shares
 
     @property
     def ok(self):
         return not self.failures
 
 
-def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
-    """Run the roundtrip check over every generated system."""
-    report = ScanReport()
-    for _, _, masks in all_mask_systems(max_k, max_universe, canonical):
-        report.systems += 1
+def _scan_share(max_k, max_universe, canonical, share, shares):
+    """(systems, members, [(sequence index, failure line)]) over one share."""
+    systems = members = 0
+    failures = []
+    for index, _, _, masks in _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
+        systems += 1
         ps, qs = mask_families(masks)
-        report.members += len(ps)
-        _, failures = check_roundtrip(masks, ps, qs)
-        if failures:
-            report.failures.append(f"system {masks}: {failures}")
+        members += len(ps)
+        _, lines = check_roundtrip(masks, ps, qs)
+        if lines:
+            failures.append((index, f"system {masks}: {lines}"))
+    return systems, members, failures
+
+
+def _share_count():
+    """One share per CPU this process may run on, when it can fork: the
+    platform has ``os.fork`` and no second thread is running (a forked
+    child gets only the forking thread, and any lock another thread held)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_share(scan, share, shares):
+    """Fork a child that scans one share and sends back its marshalled
+    result, or the repr of what it raised; returns (pid, read end)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:   # the child never returns into the caller's stack
+        try:
+            os.close(read)
+            try:
+                result = _scan_share(*scan, share, shares)
+            except BaseException as error:
+                result = repr(error)
+            with open(write, "wb") as pipe:
+                pipe.write(marshal.dumps(result))
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _received(data, status, share, shares):
+    """The result a forked share sent; raises unless it sent a whole one."""
+    try:
+        result = marshal.loads(data)
+    except (EOFError, ValueError):
+        result = None
+    if status or type(result) is not tuple:
+        detail = result if type(result) is str else f"wait status {status}"
+        raise RuntimeError(f"scan share {share} of {shares} failed in its child: {detail}")
+    return result
+
+
+def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
+    """Run the roundtrip check over every generated system.
+
+    The systems are dealt round-robin, by sequence index, into one share
+    per CPU of the process's affinity mask; the caller scans the first
+    share and a forked child each other one, and the report merges them,
+    failures in generator order.  With one CPU, no ``os.fork`` or a
+    second thread running, the one share runs in this process.  A failed
+    child raises ``RuntimeError``; every child is reaped (and killed
+    first, if the scan is failing) before the call returns or raises.
+    """
+    scan = (max_k, max_universe, canonical)
+    shares = _share_count()
+    children = {}   # share -> (pid, read end of its pipe), until reaped
+    try:
+        for share in range(1, shares):
+            children[share] = _fork_share(scan, share, shares)
+        parts = [_scan_share(*scan, 0, shares)]
+        for share in range(1, shares):
+            pid, pipe = children[share]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[share]
+            parts.append(_received(data, status, share, shares))
+    finally:
+        if children:   # the scan is failing: end the children still running
+            import signal
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    report = ScanReport(shares=shares)
+    failures = []
+    for systems, members, lines in parts:
+        report.systems += systems
+        report.members += members
+        failures += lines
+    report.failures = [line for _, line in sorted(failures)]
     return report

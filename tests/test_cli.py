@@ -155,6 +155,31 @@ def test_verify_random_env_seed(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+@pytest.mark.parametrize("argv, option, token", [
+    (["map", "U42", "--sigma", "٠", "1_0"], "--sigma", "٠"),
+    (["map", "U42", "--rho", "1", "３"], "--rho", "３"),
+    (["verify", "--random", "٢"], "--random", "٢"),
+    (["verify", "--random", "2", "--seed", "٤"], "--seed", "٤"),
+    (["verify", "--random", "2", "--max-k", "３"], "--max-k", "３"),
+], ids=["sigma", "rho", "random", "seed", "max-k"])
+def test_integer_options_follow_the_one_integer_rule(argv, option, token, u42_file, capsys):
+    # int() takes each of these; the readers take ASCII digits with a sign only
+    with pytest.raises(SystemExit) as exit_:
+        main([u42_file if arg == "U42" else arg for arg in argv])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: argument {option}: invalid int value: {token!r}\n")
+    assert captured.out == ""
+
+
+def test_env_seed_follows_the_one_integer_rule(monkeypatch, capsys):
+    monkeypatch.setenv("SPARKING_SEED", "1_2")        # int() reads 12
+    assert main(["verify", "--random", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: SPARKING_SEED: invalid int value: '1_2'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [[], ["--random", "2"]], ids=["neither", "both"])
 def test_verify_takes_a_file_or_random_but_not_both(argv, u42_file, capsys):
     # a file given next to --random would be ignored, so it is refused

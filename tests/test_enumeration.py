@@ -1,4 +1,6 @@
+import os
 import random
+import signal
 import warnings
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
@@ -191,6 +193,113 @@ def test_scan_small_scale():
     report = exhaustive_roundtrip_scan(2, 4, canonical=False)
     assert report.ok
     assert report.systems == 5 + (1 + 3 + 9 + 27 + 81)   # k=1 coverings + k=2 families
+
+
+# --- the scan's shares ---------------------------------------------------------
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_scan_shares_deal_out_the_generator(canonical):
+    entries = list(all_mask_systems(3, 4, canonical))
+    dealt = sorted(entry for share in range(3)
+                   for entry in sparking.enumeration._dealt_mask_systems(3, 4, canonical, share, 3))
+    assert [entry[1:] for entry in dealt] == entries
+    if not canonical:
+        assert [entry[0] for entry in dealt] == list(range(len(entries)))
+
+
+@pytest.mark.parametrize("scan", [(2, 4, False), (3, 5, False), (3, 5, True), (4, 4, True)],
+                         ids=["2-4", "3-5", "3-5-canonical", "4-4-canonical"])
+def test_scan_forked_equals_one_share(scan, monkeypatch):
+    _cpus(monkeypatch, 3)
+    forked = exhaustive_roundtrip_scan(*scan)
+    _cpus(monkeypatch, 1)
+    alone = exhaustive_roundtrip_scan(*scan)
+    assert (forked.shares, alone.shares) == (3, 1)
+    assert forked.ok and alone.ok
+    assert (forked.systems, forked.members, forked.failures) == (
+        alone.systems, alone.members, alone.failures)
+    _no_child_left()
+
+
+def test_scan_forked_reports_failures_in_generator_order(monkeypatch):
+    def fake_check(masks, ps, qs):
+        return None, [f"fake {len(ps)}"] if masks[0] % 3 else []
+
+    monkeypatch.setattr(sparking.enumeration, "check_roundtrip", fake_check)
+    expected = [f"system {masks}: ['fake {len(mask_families(masks)[0])}']"
+                for _, _, masks in all_mask_systems(2, 4, canonical=False) if masks[0] % 3]
+    reports = []
+    for cpus in (3, 1):
+        _cpus(monkeypatch, cpus)
+        reports.append(exhaustive_roundtrip_scan(2, 4, canonical=False))
+    assert [report.shares for report in reports] == [3, 1]
+    assert reports[0].failures == reports[1].failures == expected
+    _no_child_left()
+
+
+def _failing_at(monkeypatch, index, error):
+    """Make the roundtrip check end the process or raise ``error`` on the
+    system at generator ``index`` of the (2, 4, non-canonical) scan."""
+    target = list(all_mask_systems(2, 4, canonical=False))[index][2]
+    caller = os.getpid()
+
+    def check(masks, ps, qs):
+        if masks == target:
+            if error is None:
+                # only a child may be killed: the caller is the test run
+                assert os.getpid() != caller, "the share ran in the calling process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error
+        return check_roundtrip(masks, ps, qs)
+
+    monkeypatch.setattr(sparking.enumeration, "check_roundtrip", check)
+    _cpus(monkeypatch, 3)
+
+
+def test_scan_fails_when_a_child_raises(monkeypatch):
+    _failing_at(monkeypatch, 4, ValueError("boom"))    # share 1 of 3
+    with pytest.raises(RuntimeError, match=r"share 1 of 3 failed in its child: ValueError\('boom'\)"):
+        exhaustive_roundtrip_scan(2, 4, canonical=False)
+    _no_child_left()
+
+
+def test_scan_fails_when_a_child_dies(monkeypatch):
+    _failing_at(monkeypatch, 5, None)                  # share 2 of 3, killed
+    with pytest.raises(RuntimeError, match="share 2 of 3 failed in its child: wait status 9"):
+        exhaustive_roundtrip_scan(2, 4, canonical=False)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()],
+                         ids=["ValueError", "KeyboardInterrupt"])
+def test_scan_ends_every_child_when_its_own_share_fails(error, monkeypatch):
+    _failing_at(monkeypatch, 0, error)                 # share 0, in this process
+    with pytest.raises(type(error)):
+        exhaustive_roundtrip_scan(2, 4, canonical=False)
+    _no_child_left()
+
+
+def test_scan_on_one_cpu_runs_in_process(monkeypatch):
+    expected = exhaustive_roundtrip_scan(3, 4, canonical=True)
+
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = exhaustive_roundtrip_scan(3, 4, canonical=True)
+    assert report.shares == 1
+    assert (report.systems, report.members, report.failures) == (
+        expected.systems, expected.members, expected.failures)
 
 
 # --- the subfamily table against the definitional oracles ---------------------
