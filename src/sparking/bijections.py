@@ -1,17 +1,18 @@
 """The two mappings between parking sets and parking functions.
 
-Both maps are one sweep, ``sweep``, over the bitmask form of the family
-(``SetSystem.masks``): it repeatedly takes the lightest element of
-the exactly-one pool of the still-active sets and either deletes it from
-its owning set or fixes that set with it.  ``sigma`` turns a parking
-function into a parking set by spending its values as deletion budgets;
-``rho`` turns a parking set into a parking function by fixing exactly
-the input's elements and counting the deletions.  ``walk`` takes both
-choices at every step and so yields every completed sweep, that is every
-parking function with its image, in one search.  The object-level
-wrappers validate the input by its permutation certificate, run the sweep
-and translate its events into a ``BijectionTrace`` (deletions and
-fixations with global step numbers) so tests can replay the execution.
+Both maps are one sweep over the bitmask form of the family
+(``SetSystem.masks``), written once in ``_resume``: it repeatedly takes
+the lightest element of the exactly-one pool of the still-active sets
+and either deletes it from its owning set or fixes that set with it.
+``sigma`` turns a parking function into a parking set by spending its
+values as deletion budgets; ``rho`` turns a parking set into a parking
+function by fixing exactly the input's elements and counting the
+deletions.  ``walk`` runs the same sweep, each deletion forking the run
+that fixes the bit instead, and so yields every parking function with
+its image in one search; all runs share the read-only family.  The
+object-level wrappers validate the input by its permutation certificate,
+run the sweep and translate its events into a ``BijectionTrace``
+(deletions and fixations with global step numbers) for replay.
 """
 
 from collections import namedtuple
@@ -47,8 +48,10 @@ class BijectionTrace(namedtuple("BijectionTrace", "pi chosen deletions fixations
                 for kind, step, index, element in self.events()]
 
 
-def sweep(masks, budget, fixed=0, events=None):
-    """The sweep both maps share, over one bitmask per set.
+def _resume(masks, state, budget, fixed, events, forks):
+    """Run the sweep of the read-only ``masks`` on from ``state`` =
+    (deletions per set, active set positions, fixed bits, deleted bits),
+    whose two lists it takes over.
 
     Each step takes the lowest bit of the exactly-one pool of the active
     sets.  Its owner is fixed (and retired) when the bit is in ``fixed``
@@ -56,25 +59,23 @@ def sweep(masks, budget, fixed=0, events=None):
     is deleted from the owner.  Returns (deletions per set, mask of the
     fixed bits), or None when the pool empties while sets are active.
     With ``events`` given, one ("DEL" | "FIX", set position, bit) triple
-    per step is appended to it.
+    per step is appended to it; with ``forks`` given, each deletion
+    appends the state that fixes the bit instead.
     """
-    working = list(masks)
-    used = [0] * len(masks)
-    active = list(range(len(masks)))
-    chosen = 0
+    used, active, chosen, deleted = state
     while active:
         once = twice = 0
         for j in active:
-            a = working[j]
+            a = masks[j]
             twice |= once & a
             once |= a
-        pool = once & ~twice
-        # a deletion takes its bit out of the pool and changes no other
+        # a deleted bit has left its only active owner and changes no other
         # bit's count, so the pool is refolded only after a fixation
+        pool = once & ~twice & ~deleted
         while pool:
             e = pool & -pool
             for j in active:
-                if working[j] & e:
+                if masks[j] & e:
                     break
             if e & fixed or used[j] == budget[j]:
                 chosen |= e
@@ -82,7 +83,11 @@ def sweep(masks, budget, fixed=0, events=None):
                 if events is not None:
                     events.append(("FIX", j, e))
                 break
-            working[j] ^= e
+            if forks is not None:
+                rest = active[:]
+                rest.remove(j)
+                forks.append((used[:], rest, chosen | e, deleted))
+            deleted |= e
             used[j] += 1
             pool ^= e
             if events is not None:
@@ -92,45 +97,28 @@ def sweep(masks, budget, fixed=0, events=None):
     return used, chosen
 
 
+def sweep(masks, budget, fixed=0, events=None):
+    """The sweep both maps share (``_resume``), from the start: nothing
+    deleted or fixed, every set active."""
+    return _resume(masks, ([0] * len(masks), list(range(len(masks))), 0, 0),
+                   budget, fixed, events, None)
+
+
 def walk(masks):
     """Every completed ``sweep`` of ``masks`` under a deletion budget, by
-    a depth-first search over the sweep tree.
-
-    At each step of ``sweep`` the owner j of the lowest exactly-one bit
-    is either fixed with it or loses it; the walk takes both branches,
-    deleting only while ``used[j] + 1 < |A_j|`` (a budget beyond
-    |A_j| - 1 stalls).  Branches whose pool empties are dropped.  Returns
+    a depth-first search over the sweep tree: each run deletes while
+    ``used[j] < |A_j| - 1`` (a budget beyond that stalls) and forks the
+    run that fixes the bit instead.  Stalled runs are dropped.  Returns
     one (deletions per set, mask of the fixed bits) leaf per completed
-    sweep, sorted lexicographically: the deletions are the budget that
+    run, sorted lexicographically: the deletions are the budget that
     drives ``sweep`` to the same fixed mask.
     """
-    cap = [a.bit_count() for a in masks]
-    leaves = []
-    stack = [(list(masks), [0] * len(masks), list(range(len(masks))), 0)]
-    while stack:
-        working, used, active, chosen = stack.pop()
-        while active:
-            once = twice = 0
-            for j in active:
-                a = working[j]
-                twice |= once & a
-                once |= a
-            pool = once & ~twice
-            if not pool:
-                break
-            e = pool & -pool
-            for j in active:
-                if working[j] & e:
-                    break
-            if used[j] + 1 < cap[j]:
-                deleted, spent = working[:], used[:]
-                deleted[j] ^= e
-                spent[j] += 1
-                stack.append((deleted, spent, active[:], chosen))
-            active.remove(j)
-            chosen |= e
-        else:
-            leaves.append((tuple(used), chosen))
+    budget = [a.bit_count() - 1 for a in masks]
+    leaves, forks = [], [([0] * len(masks), list(range(len(masks))), 0, 0)]
+    while forks:
+        run = _resume(masks, forks.pop(), budget, 0, None, forks)
+        if run is not None:
+            leaves.append((tuple(run[0]), run[1]))
     leaves.sort()
     return leaves
 

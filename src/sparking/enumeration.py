@@ -39,7 +39,7 @@ import marshal
 import os
 import sys
 import warnings
-from itertools import combinations, compress, islice, permutations, product
+from itertools import combinations, compress, islice, product
 from math import comb, prod
 
 from .bijections import sweep, walk
@@ -228,8 +228,9 @@ def all_mask_systems(max_k, max_universe, canonical=True):
     weights are the identity, so lower bits are lighter.  Every universe
     element belongs to at least one set (inert elements change nothing),
     and with ``canonical`` only the lexicographically smallest relabeling
-    of the set indices is emitted — all verified properties are
-    invariant under that relabeling.
+    of the set indices is emitted, that is the systems whose masks are
+    non-decreasing — all verified properties are invariant under that
+    relabeling.
     """
     for _, k, m, masks in _dealt_mask_systems(max_k, max_universe, canonical, 0, 1):
         yield k, m, masks
@@ -239,11 +240,10 @@ def _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
     """(index, k, m, masks) for the systems of :func:`all_mask_systems`
     whose sequence index, counted over every element-pattern sequence in
     ``product`` order, is ``share`` modulo ``shares``.  The other shares'
-    sequences are skipped before any mask is built or relabeling tried."""
+    sequences are skipped before any mask is built."""
     start = 0               # sequence index of the current (k, m) block
     for k in range(1, max_k + 1):
         patterns = range(1, 1 << k)
-        index_perms = list(permutations(range(k))) if k > 1 else []
         for m in range(max_universe + 1):
             first = (share - start) % shares
             dealt = islice(product(patterns, repeat=m), first, None, shares)
@@ -254,12 +254,9 @@ def _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
                     for j in range(k):
                         if pattern >> j & 1:
                             masks[j] |= bit
-                masks = tuple(masks)
-                if canonical and index_perms:
-                    if any(tuple(masks[p[j]] for j in range(k)) < masks
-                           for p in index_perms):
-                        continue
-                yield start + first + index * shares, k, m, masks
+                if canonical and masks != sorted(masks):
+                    continue
+                yield start + first + index * shares, k, m, tuple(masks)
             start += len(patterns) ** m
 
 

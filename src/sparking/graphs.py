@@ -223,9 +223,9 @@ def g_parking_equals_s_parking(graph):
     """Enumerate the degree-defined parking functions, by burning every
     vector of the star box, and the star-set parking functions, off the
     star system's sweep tree, and report equality."""
-    # the walk's leaves are not peeled here: the burning list checks them
+    # the walk's leaves are not peeled here: the burning list checks them,
+    # and the box cap bounds the walk's leaves as well as the burning
     system = star_system(graph)
-    _subset_budget(system.k)
     cells = prod(map(len, system.sets))
     if cells > MAX_CHECK_CANDIDATES:
         raise ValueError(

@@ -110,6 +110,12 @@ def test_canonical_generator_covers_all_orbits():
         assert any(tuple(masks[p[j]] for j in range(2)) in canon
                    for p in permutations(range(2)))
     assert canon <= full
+    # the lexicographically smallest relabeling of a family is its sorted
+    # order, so the canonical systems are the non-decreasing ones
+    canon = list(all_mask_systems(4, 4, canonical=True))
+    assert canon == [entry for entry in all_mask_systems(4, 4, canonical=False)
+                     if list(entry[2]) == sorted(entry[2])]
+    assert len(canon) == 3614 and all(masks == min(permutations(masks)) for _, _, masks in canon)
 
 
 def test_index_relabeling_is_immaterial():
@@ -521,3 +527,6 @@ def test_walk_has_no_subset_cap():
     leaves = walk(masks)
     assert len(leaves) == 22
     assert all(sweep(masks, f) == (list(f), d) for f, d in leaves)
+    # and at k = 0 the one run completes at once, deleting and fixing nothing
+    assert walk(()) == [((), 0)]
+    assert sweep((), ()) == ([], 0)

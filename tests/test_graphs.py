@@ -271,6 +271,15 @@ def test_g_parking_equals_s_parking_single_edge():
     assert report.star_defined == [(0,)]
 
 
+def test_g_parking_equals_s_parking_star_graph_beyond_the_subset_cap():
+    # 22 star sets, but one tree and a one-cell box: neither the burning
+    # nor the walk lists subfamilies, so k alone is no reason to refuse
+    star = Multigraph(23, [(i, 0, i) for i in range(1, 23)])
+    report = g_parking_equals_s_parking(star)
+    assert report.equal
+    assert report.count == 1
+
+
 def test_g_parking_parallel_edges_count_with_multiplicity():
     doubled = Multigraph(2, [(1, 0, 1), (2, 0, 1)])
     assert is_g_parking_function(doubled, (1,))
@@ -283,7 +292,7 @@ def test_g_parking_equals_s_parking_refuses_beyond_the_cap():
     # functions and the burning filter scan a 21^21 box
     k22 = complete_graph(22)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="too large: k=21 sets"):
+    with pytest.raises(ValueError, match="value vectors in the star box"):
         g_parking_equals_s_parking(k22)
     assert time.perf_counter() - start < 1.0
 

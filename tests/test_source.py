@@ -105,6 +105,25 @@ def test_graph_layer_walks_no_subsets():
     assert not _uses("graphs.py", names | trees) + _uses("matroids.py", names)
 
 
+def test_one_sweep_engine_over_the_shared_family():
+    # the exactly-one pool is folded in one function of the mapping module,
+    # and no run copies the family: every run reads the same masks
+    tree = ast.parse((Path(sparking.__file__).parent / "bijections.py").read_text())
+    folds, copies = [], []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and node.id == "twice" and isinstance(node.ctx, ast.Store):
+                folds.append(function.name)
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("list", "tuple")
+                    and [getattr(a, "id", None) for a in node.args] == ["masks"]
+                    or isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "masks"
+                    and isinstance(node.slice, ast.Slice)):
+                copies.append(f"{function.name}:{node.lineno}")
+    assert len(set(folds)) == 1 and not copies
+
+
 def test_certificates_peel_the_compiled_masks():
     # the certificates, and every module-level helper they reach, stay off
     # the frozenset fold
