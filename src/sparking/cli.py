@@ -226,13 +226,7 @@ def _cmd_demo(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="sparking",
-        description="Parking functions and parking sets over finite set systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list parking functions and/or sets")
+def _enumerate_arguments(p):
     p.add_argument("system")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--functions", dest="which", action="store_const",
@@ -242,7 +236,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("map", help="apply one mapping to one input")
+
+def _map_arguments(p):
     p.add_argument("system")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", nargs="+", type=_int, metavar="ELEM",
@@ -253,7 +248,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_map)
 
-    p = sub.add_parser("verify", help="full bijection report for a system")
+
+def _verify_arguments(p):
     p.add_argument("system", nargs="?")
     p.add_argument("--random", type=_positive_int, metavar="N",
                    help="verify N seeded random systems instead")
@@ -262,27 +258,60 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("matroid", help="basis identity and bijection for a matroid")
+
+def _matroid_arguments(p):
     p.add_argument("matroid", help="matroid file, uniform:n:r, or graphic:<graph-file>")
     p.add_argument("--parts", required=True, help="set-system file with the parts")
     p.add_argument("--side", required=True, choices=["circuit", "cocircuit"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_matroid)
 
-    p = sub.add_parser("graph", help="spanning-tree bijection for a multigraph")
+
+def _graph_arguments(p):
     p.add_argument("graph")
     p.add_argument("--faces", help="face-boundary file for the circuit side")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("demo", help="reproduce a shipped golden table")
+
+def _demo_arguments(p):
     p.add_argument("name")
     p.set_defaults(func=_cmd_demo)
+
+
+# subcommand -> (help, the function that adds its arguments)
+_COMMANDS = {
+    "enumerate": ("list parking functions and/or sets", _enumerate_arguments),
+    "map": ("apply one mapping to one input", _map_arguments),
+    "verify": ("full bijection report for a system", _verify_arguments),
+    "matroid": ("basis identity and bijection for a matroid", _matroid_arguments),
+    "graph": ("spanning-tree bijection for a multigraph", _graph_arguments),
+    "demo": ("reproduce a shipped golden table", _demo_arguments),
+}
+
+
+def build_parser(argv=None):
+    """The command-line parser.  Every subcommand is registered with its
+    help; with ``argv`` given, only the one it names (its first word not
+    starting with ``-``) gets its arguments, which is all that parsing
+    ``argv`` reads.  Without ``argv`` all of them do."""
+    parser = argparse.ArgumentParser(
+        prog="sparking",
+        description="Parking functions and parking sets over finite set systems")
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = None if argv is None else next(
+        (word for word in argv if not word.startswith("-")), "")
+    for name, (text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if chosen is None or chosen == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that left shows up here, not at shutdown

@@ -17,13 +17,16 @@ keep the value vectors that beat one threshold of every subset (P).  The box
 is one bitset with a bit per value vector, in lexicographic order, and
 each subset clears the vectors that beat none of its thresholds with a
 few big-integer operations.  ``enumerate_parking_functions`` and
-``enumerate_parking_sets``, which test every candidate against all
-2^k - 1 subfamilies by definition, are the oracles: ``verify_bijection``
-and the tests use them.  ``_candidate_budget`` refuses as too large, before
-any table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
-more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
-``table_sets``, ``mask_families`` and ``verify_bijection`` call it first,
-and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
+``enumerate_parking_sets`` are the oracles, by definition and without
+masks: each folds the exactly-one set of all 2^k - 1 subfamilies once
+(``systems._subfamily_pools``), then keeps the value vectors that beat a
+private size of every subfamily and the k-subsets that meet every pool.
+``verify_bijection`` and the tests use them.  ``_candidate_budget``
+refuses as too large, before any table is built or any candidate tried,
+k beyond ``MAX_CHECK_SETS`` and more than ``MAX_CHECK_CANDIDATES``
+candidate sets or value vectors; ``table_sets``, ``mask_families`` and
+``verify_bijection`` call it first, and ``verify_bijection`` also caps the
+oracles' candidate-subfamily pairs.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -48,9 +51,8 @@ from .systems import (
     VerificationError,
     _peel,
     _subset_budget,
+    _subfamily_pools,
     _system_over,
-    is_parking_function,
-    is_parking_set,
     subfamily_table,
 )
 
@@ -72,20 +74,27 @@ def enumerate_parking_functions(system):
     """All parking functions, in lexicographic order of value vectors.
 
     The search box 0 <= values[i-1] <= |A_i| - 1 is complete: any larger
-    entry already fails on the singleton subfamily.  Returns [] with a
+    entry already fails on the singleton subfamily.  Each subfamily's
+    private sizes (j, |A_j ∩ pool|) are taken once, and a vector is kept
+    when it beats one of them in every subfamily.  Returns [] with a
     warning when some family member is empty.
     """
-    if _empty_member(system.sets):
+    sets = system.sets
+    if _empty_member(sets):
         return []
-    boxes = [range(len(a)) for a in system.sets]
-    return [f for f in product(*boxes) if is_parking_function(system, f)]
+    private = [[(j, len(sets[j] & pool)) for j in indices]
+               for indices, pool in _subfamily_pools(system)]
+    return [f for f in product(*(range(len(a)) for a in sets))
+            if all(any(f[j] < size for j, size in sizes) for sizes in private)]
 
 
 def enumerate_parking_sets(system):
-    """All parking sets, sorted by their sorted element tuples."""
-    elements = sorted(system.covered)
-    return [frozenset(combo) for combo in combinations(elements, system.k)
-            if is_parking_set(system, frozenset(combo))]
+    """All parking sets, sorted by their sorted element tuples: the
+    k-subsets of the covered elements that meet the exactly-one set of
+    every subfamily, each of those sets folded once."""
+    pools = [pool for _, pool in _subfamily_pools(system)]
+    candidates = map(frozenset, combinations(sorted(system.covered), system.k))
+    return [d for d in candidates if all(not d.isdisjoint(pool) for pool in pools)]
 
 
 class VerificationReport:

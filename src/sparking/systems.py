@@ -5,12 +5,15 @@ table of pairwise-distinct rational element weights, ints when integral.
 This module holds the exactly-one operation, the 2^k parking-function /
 parking-set test oracles, the greedy permutation certificates that
 validate all input, the reductions the mapping algorithms lean on, and
-the weight rank ``delta``.  A ``Universe`` owns the one bit order of all
-its systems, and ``SetSystem.masks`` is a family in it: the mapping sweep
-and the certificates' greedy peel run on those masks, and their
-``subfamily_table``, cached as ``SetSystem.table``, holds one exactly-one
-pool mask per subfamily for the enumeration, matroid and graph layers,
-and ``SetSystem.pools`` its inclusion-minimal pools.
+the weight rank ``delta``.  The oracles, and the enumerations built on
+them, read one set-level walk of the subfamilies, ``_subfamily_pools``,
+which folds each subfamily's exactly-one set once, in bitmask order, on
+frozensets and apart from the mask code.  A ``Universe`` owns the one
+bit order of all its systems, and ``SetSystem.masks`` is a family in it:
+the mapping sweep and the certificates' greedy peel run on those masks,
+and their ``subfamily_table``, cached as ``SetSystem.table``, holds one
+exactly-one pool mask per subfamily for the enumeration, matroid and
+graph layers, and ``SetSystem.pools`` its inclusion-minimal pools.
 
 Set indices are 1-based throughout the public API (valid indices are
 1..k), matching the text file formats.  Element ids are positive
@@ -255,12 +258,6 @@ def subfamily_table(masks):
     return [once & ~twice for once, twice in folds[1:]]
 
 
-def _index_subsets(k):
-    """Non-empty subsets of 1..k, in bitmask order."""
-    for mask in range(1, 1 << k):
-        yield [j + 1 for j in range(k) if mask >> j & 1]
-
-
 def exactly_one_sets(sets):
     """Elements that belong to exactly one of the given sets."""
     once, twice = set(), set()
@@ -268,6 +265,19 @@ def exactly_one_sets(sets):
         twice.update(once.intersection(s))
         once.update(s)
     return frozenset(once - twice)
+
+
+def _subfamily_pools(system):
+    """(indices, pool) for every non-empty subfamily of ``system``, in
+    bitmask order: its 0-based member indices and its exactly-one set, by
+    ``exactly_one_sets`` on the members.  Lazy, so a membership test that
+    fails early folds no further pools.  Refuses k > ``MAX_CHECK_SETS``
+    on the first step."""
+    sets = system.sets
+    _subset_budget(len(sets))
+    for imask in range(1, 1 << len(sets)):
+        indices = [j for j in range(len(sets)) if imask >> j & 1]
+        yield indices, exactly_one_sets(sets[j] for j in indices)
 
 
 def exactly_one(system, indices):
@@ -288,12 +298,9 @@ def is_parking_function(system, values):
     is strictly larger than the assigned value.
     """
     f = _checked_function(system, values)
-    _subset_budget(system.k)
-    for subset in _index_subsets(system.k):
-        pool = exactly_one_sets(system.set_at(i) for i in subset)
-        if not any(len(system.set_at(i) & pool) > f[i - 1] for i in subset):
-            return False
-    return True
+    sets = system.sets
+    return all(any(len(sets[j] & pool) > f[j] for j in indices)
+               for indices, pool in _subfamily_pools(system))
 
 
 def _peel(system, values, within=-1):
@@ -336,11 +343,7 @@ def parking_function_permutation(system, values):
 def is_parking_set(system, elements):
     """Definitional membership test for k-element parking sets."""
     chosen = _checked_set(system, elements)
-    _subset_budget(system.k)
-    for subset in _index_subsets(system.k):
-        if chosen.isdisjoint(exactly_one_sets(system.set_at(i) for i in subset)):
-            return False
-    return True
+    return all(not chosen.isdisjoint(pool) for _, pool in _subfamily_pools(system))
 
 
 class ParkingSetCertificate(namedtuple("ParkingSetCertificate", "pi witnesses")):

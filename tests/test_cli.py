@@ -19,9 +19,10 @@ import sparking
 import sparking.bijections
 import sparking.enumeration
 import sparking.graphs
+import sparking.systems
 from sparking import (VerificationError, complete_graph, spanning_tree_bijection, star_sets,
                       theorem_bijection, uniform_matroid)
-from sparking.cli import main
+from sparking.cli import build_parser, main
 
 from test_formats import JSON_DOCUMENTS, SET_SYSTEM_TEXTS
 
@@ -444,6 +445,62 @@ def test_large_input_is_refused_before_any_table_or_candidate(text, argv, budget
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.out == ""
     assert builds == []
+
+
+def test_verify_boundary_of_the_scope_notes(tmp_path, monkeypatch, capsys):
+    # README's scope notes: the path {i, i+1}, i = 1..12, is verified by
+    # definition, and i = 1..14 is refused before anything is enumerated
+    folds = []
+    fold = sparking.systems.exactly_one_sets
+    monkeypatch.setattr(sparking.systems, "exactly_one_sets",
+                        lambda sets: folds.append(None) or fold(sets))
+    path = tmp_path / "path.txt"
+    path.write_text("12 13\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 13)))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("|P|=13 |Q|=13 OK\n")
+    folds.clear()
+    path.write_text("14 15\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 15)))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: too large: 16384 value vectors times 2^14 subfamilies; "
+        "checking them by definition is capped at 100000000 pairs\n")
+    assert folds == []
+
+
+def _parsed(parser, argv):
+    """What parsing ``argv`` returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exit:
+            result = exit.code
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["enumerate", "map", "verify", "matroid", "graph", "demo"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], *([command, "--help"] for command in COMMANDS),
+    ["nonsense"], ["nonsense", "--help"], ["--unknown"], ["enumerate"], ["map", "u42.txt"],
+    ["matroid", "uniform:4:2"], ["matroid", "uniform:4:2", "--parts", "p.txt"], ["graph"],
+    ["demo"], ["verify", "--random"], ["verify", "--max-k", "0"], ["map", "u42.txt", "--rho"],
+    ["enumerate", "u42.txt", "--sets", "--json"], ["map", "u42.txt", "--sigma", "0", "1"],
+    ["verify", "--random", "3", "--seed", "2"], ["demo", "u42", "extra"],
+], ids=" ".join)
+def test_parser_builds_only_the_chosen_subcommand(argv):
+    # the same help, errors and parsed arguments, byte for byte, as the
+    # parser with every subcommand's arguments
+    parser = build_parser(argv)
+    assert _parsed(parser, argv) == _parsed(build_parser(), argv)
+    chosen = next((word for word in argv if not word.startswith("-")), None)
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert list(subparsers) == COMMANDS
+    built = [name for name, sub in subparsers.items()
+             if sub.format_usage() != f"usage: sparking {name} [-h]\n"]
+    assert built == ([chosen] if chosen in COMMANDS else [])
 
 
 @pytest.mark.parametrize("text, message", [

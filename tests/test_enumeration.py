@@ -8,6 +8,7 @@ from itertools import combinations, islice, permutations, product
 import pytest
 
 import sparking.enumeration
+import sparking.systems
 from sparking import SetSystem, Universe, VerificationError, verify_bijection
 from sparking.bijections import sweep, walk
 from sparking.enumeration import (
@@ -27,7 +28,7 @@ from sparking.enumeration import (
     tree_pairs,
 )
 from sparking.graphs import complete_graph, star_system
-from sparking.systems import exactly_one, subfamily_table
+from sparking.systems import exactly_one, is_parking_function, is_parking_set, subfamily_table
 
 
 def test_enumerate_functions_u42(u42_system):
@@ -64,6 +65,53 @@ def test_enumerate_sets_empty_when_nothing_private():
     system = SetSystem([{1, 2}, {2, 3}, {1, 3}])
     assert enumerate_parking_sets(system) == []
     assert enumerate_parking_functions(system) == []
+
+
+def _check_against_per_candidate_filters(system):
+    """Both enumerations equal testing every candidate by the membership
+    oracle, and the empty-member warning names the caller's line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        functions = enumerate_parking_functions(system)
+    assert [w.filename for w in caught] == ([] if all(system.sets) else [__file__])
+    box = product(*(range(len(a)) for a in system.sets))
+    assert functions == [f for f in box if is_parking_function(system, f)]
+    candidates = map(frozenset, combinations(sorted(system.covered), system.k))
+    assert enumerate_parking_sets(system) == [d for d in candidates if is_parking_set(system, d)]
+
+
+def test_enumerations_equal_the_per_candidate_filters():
+    for system in all_set_systems(3, 4, canonical=False):
+        _check_against_per_candidate_filters(system)
+    rng = random.Random(20)
+    for _ in range(300):
+        k, m = rng.randint(1, 5), rng.randint(1, 7)
+        sets = [{e for e in range(1, m + 1) if rng.random() < 0.6} for _ in range(k)]
+        weights = {e: Fraction(n, 7) for e, n in zip(range(1, m + 1), rng.sample(range(1, 100), m))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = SetSystem(sets, Universe(weights))
+        _check_against_per_candidate_filters(system)
+
+
+def test_enumerations_fold_each_subfamily_once(monkeypatch):
+    # one exactly-one set per subfamily and call, not one per candidate
+    # and subfamily; a membership test stops at its first failing subfamily
+    folds = []
+    fold = sparking.systems.exactly_one_sets
+
+    def counted(sets):
+        folds.append(None)
+        return fold(sets)
+    monkeypatch.setattr(sparking.systems, "exactly_one_sets", counted)
+    system = SetSystem([{1, 2, 3}, {1, 2, 4}, {3, 5}, {4, 5, 6}])
+    for enumerate_family in (enumerate_parking_functions, enumerate_parking_sets):
+        folds.clear()
+        assert len(enumerate_family(system)) > 1
+        assert len(folds) == 2 ** 4 - 1
+    folds.clear()
+    assert not is_parking_function(system, (1, 1, 0, 0))   # fails on {A_1, A_2}
+    assert len(folds) == 3
 
 
 def test_verify_bijection_u42(u42_system):

@@ -100,7 +100,7 @@ def test_graph_layer_walks_no_subsets():
     # trees by pool_filter and union-find alone: no brute-force combinations,
     # and no pool or table of the star system, so the trees never come from
     # the parking sets they are checked against
-    names = {"_index_subsets", "exactly_one_sets", "box_filter", "subfamily_table"}
+    names = {"_subfamily_pools", "exactly_one_sets", "box_filter", "subfamily_table"}
     trees = {"combinations", "pools", "table", "table_sets"}
     assert not _uses("graphs.py", names | trees) + _uses("matroids.py", names)
 
@@ -138,6 +138,30 @@ def test_certificates_peel_the_compiled_masks():
             pending += [node.id for node in ast.walk(defs[name])
                         if isinstance(node, ast.Name) and node.id in defs]
     assert "exactly_one_sets" not in reached
+
+
+def test_oracles_stay_off_the_mask_code():
+    # the definitional checks, and every module-level helper they reach,
+    # read the member sets alone: they stay the reference the mask
+    # filters are checked against
+    trees = [ast.parse((Path(sparking.__file__).parent / name).read_text())
+             for name in ("systems.py", "enumeration.py")]
+    defs = {node.name: node for tree in trees for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    pending, reached, found = sorted(ORACLES), set(), []
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in ast.walk(defs[name]):
+                if isinstance(node, ast.Name) and node.id in defs:
+                    pending.append(node.id)
+                if (getattr(node, "id", None) in {"subfamily_table", "box_filter", "pool_filter",
+                                                  "mask_families", "_peel"}
+                        or getattr(node, "attr", None) in {"masks", "table", "pools",
+                                                           "mask_of", "elements_of"}):
+                    found.append(f"{name}:{node.lineno}")
+    assert "_subfamily_pools" in reached and not found
 
 
 def test_matroid_layer_neither_encodes_nor_decodes():
