@@ -10,6 +10,7 @@ pipe early.  ``--json`` mirrors every report; randomness is seeded by
 import argparse
 import os
 import sys
+import warnings
 
 from .enumeration import random_set_system, table_sets, tree_pairs, verify_bijection
 from .bijections import rho, sigma
@@ -312,26 +313,29 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a reader that left shows up here, not at shutdown
-        return code
-    except BrokenPipeError:
-        # stdout's reader left early (``| head``): end quietly, as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory; the input is too large to process", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # one ``warning: <message>`` line, without the library's file and source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()  # so a reader that left shows up here, not at shutdown
+            return code
+        except BrokenPipeError:
+            # stdout's reader left early (``| head``): end quietly, as SIGPIPE would
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except PreconditionError as exc:
+            print(f"precondition failed: {exc}", file=sys.stderr)
+            return 3
+        except VerificationError as exc:
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return 1
+        except (FormatError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory; the input is too large to process", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

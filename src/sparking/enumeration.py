@@ -32,18 +32,20 @@ oracles' candidate-subfamily pairs.
 on both families in bitmask form.  ``verify_bijection`` feeds it the
 definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
 it the table's families of every small system of a generator.  The scan
-deals those systems round-robin into one share per CPU of the process's
-affinity mask, so a share skips the others' systems before building them;
-it scans one share itself and forks a child for each other one, which
-sends back its counts and failure lines through a pipe with ``marshal``.
+deals those systems round-robin, by position in the generator, into one
+share per CPU of the process's affinity mask; it scans one share itself
+and forks a child for each other one, which sends back its counts and
+failure lines through a pipe with ``marshal``.
 """
 
 import marshal
 import os
 import sys
 import warnings
-from itertools import combinations, compress, islice, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, compress, islice, product
 from math import comb, prod
+from operator import or_
 
 from .bijections import sweep, walk
 from .systems import (
@@ -235,11 +237,11 @@ def all_mask_systems(max_k, max_universe, canonical=True):
 
     Bit b of masks[j] says element b+1 belongs to the (j+1)-th set;
     weights are the identity, so lower bits are lighter.  Every universe
-    element belongs to at least one set (inert elements change nothing),
-    and with ``canonical`` only the lexicographically smallest relabeling
-    of the set indices is emitted, that is the systems whose masks are
-    non-decreasing — all verified properties are invariant under that
-    relabeling.
+    element belongs to at least one set (inert elements change nothing).
+    For each k, then m, the k-tuples of masks come in lexicographic order;
+    with ``canonical`` only the lexicographically smallest relabeling of
+    the set indices, the non-decreasing tuple, is emitted — all verified
+    properties are invariant under that relabeling.
     """
     for _, k, m, masks in _dealt_mask_systems(max_k, max_universe, canonical, 0, 1):
         yield k, m, masks
@@ -247,26 +249,22 @@ def all_mask_systems(max_k, max_universe, canonical=True):
 
 def _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
     """(index, k, m, masks) for the systems of :func:`all_mask_systems`
-    whose sequence index, counted over every element-pattern sequence in
-    ``product`` order, is ``share`` modulo ``shares``.  The other shares'
-    sequences are skipped before any mask is built."""
-    start = 0               # sequence index of the current (k, m) block
-    for k in range(1, max_k + 1):
-        patterns = range(1, 1 << k)
-        for m in range(max_universe + 1):
-            first = (share - start) % shares
-            dealt = islice(product(patterns, repeat=m), first, None, shares)
-            for index, seq in enumerate(dealt):
-                masks = [0] * k
-                for position, pattern in enumerate(seq):
-                    bit = 1 << position
-                    for j in range(k):
-                        if pattern >> j & 1:
-                            masks[j] |= bit
-                if canonical and masks != sorted(masks):
-                    continue
-                yield start + first + index * shares, k, m, tuple(masks)
-            start += len(patterns) ** m
+    whose position in its stream is ``share`` modulo ``shares``.  The
+    tuples come from ``combinations_with_replacement`` (canonical) or
+    ``product`` over ``range(1 << m)``, kept when their union is all m
+    bits; every share walks the whole stream."""
+    def systems():
+        for k in range(1, max_k + 1):
+            for m in range(max_universe + 1):
+                full, subsets = (1 << m) - 1, range(1 << m)
+                tuples = (combinations_with_replacement(subsets, k) if canonical
+                          else product(subsets, repeat=k))
+                for t in tuples:
+                    if reduce(or_, t) == full:
+                        yield k, m, t
+
+    for index, (k, m, masks) in islice(enumerate(systems()), share, None, shares):
+        yield index, k, m, masks
 
 
 def system_from_masks(masks):
@@ -354,9 +352,7 @@ def pool_filter(masks, pools):
     """The k-subsets of the covered bits that meet every pool, as masks
     in combination order (k = len(masks)); ``_candidate_budget`` caps the
     candidates."""
-    union = 0
-    for a in masks:
-        union |= a
+    union = reduce(or_, masks, 0)
     bits = [1 << b for b in range(union.bit_length()) if union >> b & 1]
     pools = list(dict.fromkeys(pools))
     found = []
@@ -376,9 +372,7 @@ def mask_families(masks):
     so only the larger subfamilies filter the box.  Refuses by
     ``_candidate_budget`` first."""
     boxes = [range(a.bit_count()) for a in masks]
-    union = 0
-    for a in masks:
-        union |= a
+    union = reduce(or_, masks, 0)
     _candidate_budget(len(masks), union.bit_count(), prod(map(len, boxes)))
     pools = subfamily_table(masks)
     thresholds = [[(j, (a & pool).bit_count()) for j, a in enumerate(masks) if imask >> j & 1]
@@ -411,7 +405,7 @@ class ScanReport:
 
 
 def _scan_share(max_k, max_universe, canonical, share, shares):
-    """(systems, members, [(sequence index, failure line)]) over one share."""
+    """(systems, members, [(generator index, failure line)]) over one share."""
     systems = members = 0
     failures = []
     for index, _, _, masks in _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
@@ -476,7 +470,7 @@ def _received(data, status, share, shares):
 def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
     """Run the roundtrip check over every generated system.
 
-    The systems are dealt round-robin, by sequence index, into one share
+    The systems are dealt round-robin, by generator index, into one share
     per CPU of the process's affinity mask; the caller scans the first
     share and a forked child each other one, and the report merges them,
     failures in generator order.  With one CPU, no ``os.fork`` or a

@@ -138,6 +138,21 @@ def test_enumerate_json(u42_file, capsys):
     assert payload == {"functions": [[0, 0], [0, 1], [0, 2], [1, 0], [2, 0]]}
 
 
+@pytest.mark.parametrize("command, out", [
+    ("verify", "|P|=0 |Q|=0 OK\n"),
+    ("enumerate", "functions (0):\nsets (0):\n"),
+])
+def test_warnings_are_one_line_each_without_a_path(command, out, tmp_path):
+    path = tmp_path / "empty-member.json"
+    path.write_text('{"sets": [[1, 2, 3], []]}')
+    result = _run_cli(command, str(path))
+    assert (result.returncode, result.stdout) == (0, out)
+    assert result.stderr.splitlines() == [
+        "warning: family contains an empty set: no parking function exists",
+        "warning: family contains an empty set: no parking functions",
+    ]
+
+
 def test_verify_singleton(tmp_path, capsys):
     path = tmp_path / "single.txt"
     path.write_text("1 1\n1\n")

@@ -2,8 +2,10 @@ import os
 import random
 import signal
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
+from math import comb
 
 import pytest
 
@@ -151,6 +153,20 @@ def test_generator_counts_small():
     assert len(two) == 13
 
 
+def test_generator_counts_match_the_closed_forms():
+    # k-tuples of subsets covering m elements: (2^k - 1)^m in all; the
+    # multisets of k subsets covering them by inclusion-exclusion over the
+    # i elements left out
+    counts = {canonical: Counter((k, m) for k, m, _ in all_mask_systems(4, 5, canonical))
+              for canonical in (False, True)}
+    for k in range(1, 5):
+        for m in range(6):
+            assert counts[False][k, m] == ((1 << k) - 1) ** m
+            assert counts[True][k, m] == sum((-1) ** i * comb(m, i) * comb((1 << m - i) + k - 1, k)
+                                             for i in range(m + 1))
+    assert (counts[True].total(), counts[False].total()) == (42614, 833594)
+
+
 def test_canonical_generator_covers_all_orbits():
     full = {masks for k, _, masks in all_mask_systems(2, 3, canonical=False) if k == 2}
     canon = {masks for k, _, masks in all_mask_systems(2, 3, canonical=True) if k == 2}
@@ -266,8 +282,7 @@ def test_scan_shares_deal_out_the_generator(canonical):
     dealt = sorted(entry for share in range(3)
                    for entry in sparking.enumeration._dealt_mask_systems(3, 4, canonical, share, 3))
     assert [entry[1:] for entry in dealt] == entries
-    if not canonical:
-        assert [entry[0] for entry in dealt] == list(range(len(entries)))
+    assert [entry[0] for entry in dealt] == list(range(len(entries)))
 
 
 @pytest.mark.parametrize("scan", [(2, 4, False), (3, 5, False), (3, 5, True), (4, 4, True)],
