@@ -313,9 +313,20 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    shown = set()
+
+    def show(message, *_):
+        # one ``warning: <message>`` line per distinct message, without the
+        # library's file and source line
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     with warnings.catch_warnings():
-        # one ``warning: <message>`` line, without the library's file and source line
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # whatever the interpreter's filters (``-W error`` too), a warning
+        # neither raises nor changes the exit code
+        warnings.simplefilter("always")
+        warnings.showwarning = show
         try:
             code = args.func(args)
             sys.stdout.flush()  # so a reader that left shows up here, not at shutdown

@@ -21,12 +21,15 @@ few big-integer operations.  ``enumerate_parking_functions`` and
 masks: each folds the exactly-one set of all 2^k - 1 subfamilies once
 (``systems._subfamily_pools``), then keeps the value vectors that beat a
 private size of every subfamily and the k-subsets that meet every pool.
-``verify_bijection`` and the tests use them.  ``_candidate_budget``
-refuses as too large, before any table is built or any candidate tried,
-k beyond ``MAX_CHECK_SETS`` and more than ``MAX_CHECK_CANDIDATES``
-candidate sets or value vectors; ``table_sets``, ``mask_families`` and
-``verify_bijection`` call it first, and ``verify_bijection`` also caps the
-oracles' candidate-subfamily pairs.
+Two rules skip work that cannot reject anything: the value oracle drops
+each subfamily with a member wholly private to it, which every vector
+of the box beats, and ``mask_families`` returns both families empty,
+unfiltered, when some pool is empty.  ``verify_bijection`` and the tests
+use the oracles.  ``_candidate_budget`` refuses as too large, before any
+table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
+more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
+``table_sets``, ``mask_families`` and ``verify_bijection`` call it first,
+and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -51,6 +54,7 @@ from .bijections import sweep, walk
 from .systems import (
     MAX_CHECK_CANDIDATES,
     VerificationError,
+    _EMPTY_MEMBER,
     _peel,
     _subset_budget,
     _subfamily_pools,
@@ -68,7 +72,7 @@ def _empty_member(family):
     no parking function exists; warns so, at the caller's caller."""
     if all(family):
         return False
-    warnings.warn("family contains an empty set: no parking functions", stacklevel=3)
+    warnings.warn(_EMPTY_MEMBER, stacklevel=3)
     return True
 
 
@@ -78,14 +82,19 @@ def enumerate_parking_functions(system):
     The search box 0 <= values[i-1] <= |A_i| - 1 is complete: any larger
     entry already fails on the singleton subfamily.  Each subfamily's
     private sizes (j, |A_j ∩ pool|) are taken once, and a vector is kept
-    when it beats one of them in every subfamily.  Returns [] with a
-    warning when some family member is empty.
+    when it beats one of them in every subfamily.  A subfamily with a
+    member whose whole set is private to it, every singleton among them,
+    is beaten by every vector of the box, so only the others are tested.
+    Returns [] with a warning when some family member is empty.
     """
     sets = system.sets
     if _empty_member(sets):
         return []
-    private = [[(j, len(sets[j] & pool)) for j in indices]
-               for indices, pool in _subfamily_pools(system)]
+    private = []
+    for indices, pool in _subfamily_pools(system):
+        sizes = [(j, len(sets[j] & pool)) for j in indices]
+        if all(size < len(sets[j]) for j, size in sizes):
+            private.append(sizes)
     return [f for f in product(*(range(len(a)) for a in sets))
             if all(any(f[j] < size for j, size in sizes) for sizes in private)]
 
@@ -369,12 +378,16 @@ def mask_families(masks):
     """Both families of one bitmask system from its subfamily table:
     P as value tuples in lexicographic order, Q as masks.  A singleton
     subfamily's threshold is |A_j| itself, which the box always beats,
-    so only the larger subfamilies filter the box.  Refuses by
-    ``_candidate_budget`` first."""
+    so only the larger subfamilies filter the box.  P is down-closed, so
+    it is empty exactly when the zero vector fails, that is when some
+    pool is empty; no k-set meets that pool either, so both families are
+    [] without a filter.  Refuses by ``_candidate_budget`` first."""
     boxes = [range(a.bit_count()) for a in masks]
     union = reduce(or_, masks, 0)
     _candidate_budget(len(masks), union.bit_count(), prod(map(len, boxes)))
     pools = subfamily_table(masks)
+    if 0 in pools:
+        return [], []
     thresholds = [[(j, (a & pool).bit_count()) for j, a in enumerate(masks) if imask >> j & 1]
                   for imask, pool in enumerate(pools, 1) if imask & imask - 1]
     return box_filter(boxes, thresholds), pool_filter(masks, pools)

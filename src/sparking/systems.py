@@ -29,6 +29,8 @@ from functools import cached_property
 MAX_CHECK_SETS = 20
 # The parking sets are filtered out of all C(covered, k) k-subsets, refused beyond this.
 MAX_CHECK_CANDIDATES = 10 ** 7
+# The one wording of the warning for a family with an empty member.
+_EMPTY_MEMBER = "family contains an empty set: no parking function exists"
 
 
 class VerificationError(Exception):
@@ -127,9 +129,7 @@ class SetSystem:
         if stray:
             raise ValueError(f"elements {sorted(stray)} are not in the universe")
         if warn and not all(self._sets):
-            warnings.warn(
-                "family contains an empty set: no parking function exists",
-                stacklevel=2)
+            warnings.warn(_EMPTY_MEMBER, stacklevel=2)
         self._universe = universe
         self._covered = covered
 

@@ -31,11 +31,12 @@ K3 = "vertices 3\n1 0 1\n2 0 2\n3 1 2\n"
 K4 = "vertices 4\n1 0 1\n2 0 2\n3 0 3\n4 1 2\n5 1 3\n6 2 3\n"
 
 
-def _run_cli(*argv, **kwargs):
+def _run_cli(*argv, flags=(), **kwargs):
     """``python -m sparking`` in a child process that imports the same
-    source as this one, whatever PYTHONPATH the suite was started with."""
+    source as this one, whatever PYTHONPATH the suite was started with;
+    ``flags`` go to the interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(sparking.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-m", "sparking", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "sparking", *argv],
                           capture_output=True, text=True, env=env, **kwargs)
 
 
@@ -149,8 +150,18 @@ def test_warnings_are_one_line_each_without_a_path(command, out, tmp_path):
     assert (result.returncode, result.stdout) == (0, out)
     assert result.stderr.splitlines() == [
         "warning: family contains an empty set: no parking function exists",
-        "warning: family contains an empty set: no parking functions",
     ]
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_warnings_print_whatever_the_interpreter_filters(command, tmp_path):
+    path = tmp_path / "empty-member.json"
+    path.write_text('{"sets": [[1, 2, 3], []]}')
+    plain = _run_cli(command, str(path))
+    strict = _run_cli(command, str(path), flags=["-W", "error"])
+    assert (strict.returncode, strict.stdout, strict.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert strict.stderr.count("warning: ") == 1
 
 
 def test_verify_singleton(tmp_path, capsys):

@@ -535,6 +535,22 @@ def test_box_filter_agrees_with_the_per_cell_loop():
             assert box_filter(boxes, case) == _box_filter_by_cell(boxes, case)
 
 
+@pytest.mark.parametrize("masks", [(0b011, 0b011), (0b1, 0), (0b0111, 0b1011, 0b1100)],
+                         ids=["twins", "empty-member", "u42-and-its-pool"])
+def test_mask_families_skip_both_filters_when_a_pool_is_empty(masks, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("filtered a family with an empty pool")
+    monkeypatch.setattr(sparking.enumeration, "box_filter", refuse)
+    monkeypatch.setattr(sparking.enumeration, "pool_filter", refuse)
+    assert 0 in subfamily_table(masks)
+    assert mask_families(masks) == ([], [])
+
+
+def test_mask_families_are_empty_exactly_when_a_pool_is():
+    for _, _, masks in all_mask_systems(3, 4, canonical=False):
+        assert (mask_families(masks) == ([], [])) == (0 in subfamily_table(masks))
+
+
 # --- the sweep tree -----------------------------------------------------------
 
 def _table_pairs(system):
