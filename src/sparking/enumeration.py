@@ -34,11 +34,11 @@ and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
 definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
-it the table's families of every small system of a generator.  The scan
-deals those systems round-robin, by position in the generator, into one
-share per CPU of the process's affinity mask; it scans one share itself
-and forks a child for each other one, which sends back its counts and
-failure lines through a pipe with ``marshal``.
+it the table's families of every small system of a generator, dealt
+round-robin, by position in the generator, into the shares of
+``_run_shares``, the one share runner: one share per CPU of the process's
+affinity mask, the first run in process and each other one in a forked
+child, which sends back its result through a pipe with ``marshal``.
 """
 
 import marshal
@@ -443,80 +443,72 @@ def _share_count():
     return len(os.sched_getaffinity(0))
 
 
-def _fork_share(scan, share, shares):
-    """Fork a child that scans one share and sends back its marshalled
-    result, or the repr of what it raised; returns (pid, read end)."""
-    read, write = os.pipe()
+def _run_shares(work):
+    """``work(share, shares)`` for each share of ``_share_count()``, in share
+    order.  Share 0 runs in this process and each other one in an
+    ``os.fork()`` child, which sends back its marshalled result, or the
+    repr of what it raised, through a pipe.  A child that raises, dies,
+    exits non-zero or sends a short result makes the call raise
+    ``RuntimeError``; every child is reaped before the call returns or
+    raises, after a SIGKILL if the call is failing."""
+    shares = _share_count()
+    children = []   # [pid, read end of its pipe], in share order, until reaped
     try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:   # the child never returns into the caller's stack
-        try:
-            os.close(read)
+        for share in range(1, shares):
+            read, write = os.pipe()
+            children.append([None, open(read, "rb")])
+            with open(write, "wb") as out:   # the parent's copy closes after the fork
+                pid = children[-1][0] = os.fork()
+                if pid == 0:   # the child never returns into the caller's stack
+                    try:
+                        try:
+                            data = marshal.dumps((work(share, shares),))
+                        except BaseException as error:
+                            data = marshal.dumps(repr(error))
+                        out.write(data)
+                        out.flush()
+                    finally:
+                        os._exit(0)
+        results = [work(0, shares)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
             try:
-                result = _scan_share(*scan, share, shares)
-            except BaseException as error:
-                result = repr(error)
-            with open(write, "wb") as pipe:
-                pipe.write(marshal.dumps(result))
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _received(data, status, share, shares):
-    """The result a forked share sent; raises unless it sent a whole one."""
-    try:
-        result = marshal.loads(data)
-    except (EOFError, ValueError):
-        result = None
-    if status or type(result) is not tuple:
-        detail = result if type(result) is str else f"wait status {status}"
-        raise RuntimeError(f"scan share {share} of {shares} failed in its child: {detail}")
-    return result
+                sent = marshal.loads(data)
+            except (EOFError, ValueError):
+                sent = None
+            if status or type(sent) is not tuple:
+                detail = sent if type(sent) is str else f"wait status {status}"
+                raise RuntimeError(f"share {len(results)} of {shares} failed in its child: {detail}")
+            results.append(sent[0])
+    finally:
+        if children:   # the call is failing: end the children still running
+            import signal
+            for pid, pipe in children:
+                pipe.close()
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return results
 
 
 def exhaustive_roundtrip_scan(max_k=3, max_universe=6, canonical=True):
     """Run the roundtrip check over every generated system.
 
-    The systems are dealt round-robin, by generator index, into one share
-    per CPU of the process's affinity mask; the caller scans the first
-    share and a forked child each other one, and the report merges them,
-    failures in generator order.  With one CPU, no ``os.fork`` or a
-    second thread running, the one share runs in this process.  A failed
-    child raises ``RuntimeError``; every child is reaped (and killed
-    first, if the scan is failing) before the call returns or raises.
+    The systems are dealt round-robin, by generator index, into the shares
+    of ``_run_shares``, one per CPU of the process's affinity mask: the
+    caller scans the first and a forked child each other one, and the
+    report merges them, failures in generator order.  With one CPU, no
+    ``os.fork`` or a second thread running, the one share runs in this
+    process.  A failed child raises ``RuntimeError``; every child is
+    reaped (and killed first, if the scan is failing) before the call
+    returns or raises.
     """
-    scan = (max_k, max_universe, canonical)
-    shares = _share_count()
-    children = {}   # share -> (pid, read end of its pipe), until reaped
-    try:
-        for share in range(1, shares):
-            children[share] = _fork_share(scan, share, shares)
-        parts = [_scan_share(*scan, 0, shares)]
-        for share in range(1, shares):
-            pid, pipe = children[share]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[share]
-            parts.append(_received(data, status, share, shares))
-    finally:
-        if children:   # the scan is failing: end the children still running
-            import signal
-            for pid, pipe in children.values():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    report = ScanReport(shares=shares)
-    failures = []
-    for systems, members, lines in parts:
-        report.systems += systems
-        report.members += members
-        failures += lines
-    report.failures = [line for _, line in sorted(failures)]
-    return report
+    parts = _run_shares(lambda share, shares: _scan_share(
+        max_k, max_universe, canonical, share, shares))
+    systems, members, failures = zip(*parts)
+    return ScanReport(sum(systems), sum(members),
+                      [line for _, line in sorted(sum(failures, []))], len(parts))

@@ -244,8 +244,8 @@ def _is_classic(values, n):
 def classic_parking_functions(n):
     """All functions 1..n -> 1..n where, for every j, at least j entries
     are <= j; lexicographic order."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 0:
+        raise ValueError("need n >= 0")
     return [f for f in product(range(1, n + 1), repeat=n) if _is_classic(f, n)]
 
 
@@ -262,8 +262,6 @@ def classic_correspondence(n):
 def spanning_tree_bijection(graph, weights=None):
     """Map every star-set parking function to its parking set and verify
     those are exactly the spanning trees, each hit once."""
-    if graph.n_vertices < 2:
-        raise ValueError("need at least one non-root vertex")
     weighted = None if weights is None else star_system(graph, weights)
     return paired_images(star_system(graph), graphic_matroid(graph)._masks, 0, weighted)
 

@@ -386,8 +386,13 @@ def corollary_full_cover(matroid, parts, side):
 
 def cocircuit_union_subsets(matroid):
     """All non-empty subsets that are unions of cocircuits, by size, then
-    in combination order."""
-    dual, bits = matroid.dual, [1 << b for b in range(len(matroid.ground))]
+    in combination order; refuses more than ``MAX_CHECK_CANDIDATES``
+    subsets before it tries one."""
+    n = len(matroid.ground)
+    if (1 << n) - 1 > MAX_CHECK_CANDIDATES:
+        raise ValueError(f"too large: 2^{n} - 1 = {(1 << n) - 1} subsets of the ground set; "
+                         f"listing the cocircuit unions is capped at {MAX_CHECK_CANDIDATES}")
+    dual, bits = matroid.dual, [1 << b for b in range(n)]
     found = [m for size in range(1, len(bits) + 1)
              for m in map(sum, combinations(bits, size)) if dual._is_union(m)]
     return list(map(matroid._universe.elements_of, found))

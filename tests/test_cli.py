@@ -270,6 +270,18 @@ def test_graph_star_side(k3_file, capsys):
     assert "bijection onto spanning trees: OK" in out
 
 
+def test_graph_on_one_vertex_pairs_the_empty_tree(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("vertices 1\n")
+    assert main(["graph", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "spanning trees: 1\nparking functions (star sets): 1\n() -> tree {}\n"
+        "bijection onto spanning trees: OK\n")
+    assert main(["graph", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "side": "star sets", "spanning_trees": 1, "pairs": [[[], []]]}
+
+
 def test_graph_failed_verdict_exits_1(monkeypatch, tmp_path, capsys):
     # graphic_matroid lists the trees off pool_filter; dropping its first
     # candidate, the star at the root, leaves 15 of K4's 16 trees

@@ -1,6 +1,8 @@
 import os
 import random
 import signal
+import threading
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -259,6 +261,21 @@ def test_roundtrip_check_reports_failures():
                         "rho(0b101) = (0, 0) is not a parking function"]
 
 
+def test_the_candidate_caps_are_inclusive(monkeypatch):
+    # u42: k = 2 sets, C(4, 2) = 6 candidate sets, 3 * 3 = 9 value vectors
+    masks = (0b0111, 0b1011)
+    families = mask_families(masks)
+    monkeypatch.setattr(sparking.systems, "MAX_CHECK_SETS", 2)
+    monkeypatch.setattr(sparking.enumeration, "MAX_CHECK_CANDIDATES", 9)
+    assert mask_families(masks) == families
+    for sets, cap, refusal in ((1, 9, "k=2 sets"), (2, 8, "9 value vectors in the box"),
+                               (2, 5, r"C\(4, 2\) = 6 candidate sets")):
+        monkeypatch.setattr(sparking.systems, "MAX_CHECK_SETS", sets)
+        monkeypatch.setattr(sparking.enumeration, "MAX_CHECK_CANDIDATES", cap)
+        with pytest.raises(ValueError, match=f"^too large: {refusal}"):
+            mask_families(masks)
+
+
 def test_scan_small_scale():
     report = exhaustive_roundtrip_scan(2, 4, canonical=False)
     assert report.ok
@@ -369,6 +386,80 @@ def test_scan_on_one_cpu_runs_in_process(monkeypatch):
     assert report.shares == 1
     assert (report.systems, report.members, report.failures) == (
         expected.systems, expected.members, expected.failures)
+
+
+# --- the share runner ----------------------------------------------------------
+
+def _whose(share, shares):
+    return share, shares, os.getpid()
+
+
+def test_shares_come_back_in_share_order_with_share_0_in_process(monkeypatch):
+    _cpus(monkeypatch, 3)
+    results = sparking.enumeration._run_shares(_whose)
+    assert [result[:2] for result in results] == [(0, 3), (1, 3), (2, 3)]
+    pids = [result[2] for result in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    _no_child_left()
+
+
+def test_shares_on_one_cpu_never_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert sparking.enumeration._run_shares(_whose) == [(0, 1, os.getpid())]
+
+
+def test_shares_run_in_process_while_a_second_thread_runs(monkeypatch):
+    # a forked child would get only the forking thread
+    def no_fork():
+        raise AssertionError("forked with a second thread running")
+
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert sparking.enumeration._run_shares(_whose) == [(0, 1, os.getpid())]
+    finally:
+        done.set()
+        thread.join()
+
+
+def test_shares_fail_when_a_child_exits_non_zero_after_a_whole_result(monkeypatch):
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: real_exit(3))   # only the children call it
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="share 1 of 2 failed in its child: wait status 768"):
+        sparking.enumeration._run_shares(_whose)
+    _no_child_left()
+
+
+def test_shares_fail_when_a_child_sends_a_short_result(monkeypatch):
+    dumps = sparking.enumeration.marshal.dumps
+    monkeypatch.setattr(sparking.enumeration.marshal, "dumps", lambda value: dumps(value)[:-1])
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="share 1 of 2 failed in its child: wait status 0"):
+        sparking.enumeration._run_shares(_whose)
+    _no_child_left()
+
+
+def test_shares_kill_the_children_when_share_0_fails(monkeypatch, tmp_path):
+    # a child left to run would leave its file behind before it is reaped
+    def work(share, shares):
+        if share == 0:
+            raise ValueError("boom")
+        time.sleep(2)
+        (tmp_path / str(share)).touch()
+
+    _cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="boom"):
+        sparking.enumeration._run_shares(work)
+    _no_child_left()
+    assert not list(tmp_path.iterdir())
 
 
 # --- the subfamily table against the definitional oracles ---------------------

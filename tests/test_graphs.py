@@ -307,6 +307,15 @@ def test_classic_n1():
     assert classic_parking_functions(1) == [(1,)]
 
 
+def test_classic_n0_is_the_empty_function():
+    # (n + 1)^(n - 1) = 1 at n = 0: the one function on no points, which
+    # the one-vertex complete graph matches
+    assert classic_parking_functions(0) == [()]
+    assert classic_correspondence(0)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        classic_parking_functions(-1)
+
+
 def test_classic_counts():
     for n in range(1, 6):
         assert len(classic_parking_functions(n)) == (n + 1) ** (n - 1)
@@ -318,6 +327,16 @@ def test_classic_correspondence():
 
 
 # --- tree bijections ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("edges", [[], [(1, 0, 0)]], ids=["bare", "loop"])
+def test_spanning_tree_bijection_on_one_vertex(edges):
+    # the empty tree, paired with the empty function, as the rest of the
+    # graph layer counts it
+    graph = Multigraph(1, edges)
+    assert spanning_tree_bijection(graph) == [((), frozenset())]
+    assert spanning_tree_bijection(graph, {e: 2 * e for e, _, _ in edges}) == [((), frozenset())]
+    assert spanning_trees(graph) == [frozenset()] and deletion_contraction_count(graph) == 1
+
 
 def test_spanning_tree_bijection_k3(k3):
     pairs = spanning_tree_bijection(k3)

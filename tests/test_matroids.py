@@ -512,6 +512,20 @@ def test_a_capped_cover_search_refuses_instead_of_returning_short(monkeypatch):
         find_cocircuit_cover_families(matroid, 3)
 
 
+def test_the_cover_search_refuses_before_its_subset_listing(u42, monkeypatch):
+    # 2^24 - 1 subsets of U(2, 24) pass the cap of 10^7; none is tried
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^too large: 2\^24 - 1 = 16777215 subsets"):
+        find_cocircuit_cover_families(uniform_matroid(24, 2))
+    assert time.perf_counter() - start < 1.0
+    # the cap is inclusive: U(2, 4) has 15 non-empty subsets
+    monkeypatch.setattr(sparking.matroids, "MAX_CHECK_CANDIDATES", 15)
+    assert find_cocircuit_cover_families(u42) == []
+    monkeypatch.setattr(sparking.matroids, "MAX_CHECK_CANDIDATES", 14)
+    with pytest.raises(ValueError, match="^too large: "):
+        cocircuit_union_subsets(u42)
+
+
 def _lines(rows):
     return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
