@@ -241,9 +241,9 @@ def _enumerate_arguments(p):
 def _map_arguments(p):
     p.add_argument("system")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rho", nargs="+", type=_int, metavar="ELEM",
+    group.add_argument("--rho", nargs="*", type=_int, metavar="ELEM",
                        help="parking-set elements; outputs the parking function")
-    group.add_argument("--sigma", nargs="+", type=_int, metavar="VALUE",
+    group.add_argument("--sigma", nargs="*", type=_int, metavar="VALUE",
                        help="parking-function values; outputs the parking set")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")

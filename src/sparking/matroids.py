@@ -16,15 +16,16 @@ dual on the cocircuit side, computed on first use) and the full-cover
 check.  The parking sets and the bracket read only the table's minimal
 pools (``SetSystem.pools``); the bracket ANDs the cached columns
 (``_columns``: per ground bit, a bitset of the bases holding it) of each
-pool's bits and ORs over the pools.
+pool's bits and ORs over the pools, and the surviving bases and their
+decoded sets are picked from the cached lists by that bitset's complement.
 """
 
-from functools import cached_property
 from itertools import combinations, compress
 from math import comb
 
 from .enumeration import _BITS, paired_images, table_sets
-from .systems import MAX_CHECK_CANDIDATES, SetSystem, Universe, VerificationError, _system_over
+from .systems import (MAX_CHECK_CANDIDATES, SetSystem, Universe, VerificationError, _cached,
+                      _system_over)
 
 # candidate extensions ``find_cocircuit_cover_families`` tries before it refuses
 MAX_COVER_NODES = 200000
@@ -101,13 +102,13 @@ class Matroid:
     def _rank_over_bases(self, mask):
         return max((b & mask).bit_count() for b in self._masks)
 
-    @cached_property
+    @_cached
     def _universe(self):
         """Identity weights on the ground set: the bases' bit order, and the
         universe of every unweighted parts system."""
         return Universe.identity(self.ground)
 
-    @cached_property
+    @_cached
     def bases(self):
         """The bases as element sets, sorted by their sorted element tuples."""
         return tuple(map(self._universe.elements_of, self._masks))
@@ -122,7 +123,7 @@ class Matroid:
         """Largest independent portion of ``subset``."""
         return self._rank(self._mask(subset))
 
-    @cached_property
+    @_cached
     def _columns(self):
         """Per ground bit, the bitset of the indices of the bases holding
         it, cut from the bases' binary digits laid end to end."""
@@ -130,7 +131,7 @@ class Matroid:
         digits = "".join(f"{m:0{n}b}" for m in reversed(self._masks))
         return [int(digits[n - 1 - b::n], 2) for b in range(n)]
 
-    @cached_property
+    @_cached
     def circuits(self):
         """Inclusion-minimal dependent sets, by increasing-size scan over
         bit combinations."""
@@ -141,7 +142,7 @@ class Matroid:
                     found.append(s)
         return tuple(map(self._universe.elements_of, found))
 
-    @cached_property
+    @_cached
     def dual(self):
         """Matroid whose bases are the complements of this one's, ranked by
         r*(X) = |X| - r(E) + r(E - X) (Oxley, Matroid Theory, 2nd ed., §2.1).
@@ -150,7 +151,7 @@ class Matroid:
         return Matroid._by_construction(self.ground, [full ^ m for m in reversed(self._masks)],
                                         lambda m: m.bit_count() - r + rank(full ^ m))
 
-    @cached_property
+    @_cached
     def cocircuits(self):
         return self.dual.circuits
 
@@ -171,13 +172,13 @@ class Matroid:
 
     def bases_bracket(self, parts):
         """Bases containing the exactly-one set of some non-empty subfamily."""
-        bracket = _bracket(self, _parts_system(self, parts))
-        return [b for b, mask in zip(self.bases, self._masks) if mask in bracket]
+        hit = _bracket(self, _parts_system(self, parts))
+        return list(compress(self.bases, _selectors(hit, len(self._masks))))
 
     def bases_prime(self, parts):
         """Bases avoiding every bracket contribution."""
-        bracket = _bracket(self, _parts_system(self, parts))
-        return [b for b, mask in zip(self.bases, self._masks) if mask not in bracket]
+        hit = _bracket(self, _parts_system(self, parts))
+        return list(compress(self.bases, _selectors(~hit, len(self._masks))))
 
     def __eq__(self, other):
         return (isinstance(other, Matroid) and self.ground == other.ground
@@ -204,18 +205,26 @@ def uniform_matroid(n, r):
 
 
 def _parts_system(matroid, parts):
-    """The parts, checked to lie in the ground set, over ``_universe``."""
-    parts = tuple(frozenset(p) for p in parts)
+    """The parts, frozen once and checked to lie in the ground set, over ``_universe``."""
+    parts = tuple(map(frozenset, parts))
     for i, p in enumerate(parts, start=1):
         if not p <= matroid.ground:
             raise ValueError(f"part {i} is not inside the ground set")
     return SetSystem(parts, matroid._universe, warn=False)
 
 
+def _selectors(bits, n, backwards=False):
+    """``compress`` selectors for the set bits of ``bits`` (negative for a
+    complement) among the indices 0..n-1, or n-1..0 when ``backwards``."""
+    digits = f"{bits & (1 << n) - 1:0{n}b}"
+    return (digits if backwards else digits[::-1]).encode().translate(_BITS)
+
+
 def _bracket(matroid, system):
-    """The basis masks of ``bases_bracket`` of the parts of ``system``: the
-    bases holding a minimal pool are the AND of its bits' columns, and the
-    bracket is the OR of those over the pools."""
+    """``bases_bracket`` of the parts of ``system`` as a bitset over the
+    indices of ``matroid._masks``: the bases holding a minimal pool are the
+    AND of its bits' columns, and the bracket is the OR of those over the
+    pools."""
     columns, every, hit = matroid._columns, (1 << len(matroid._masks)) - 1, 0
     for pool in system.pools:
         held = every
@@ -223,7 +232,7 @@ def _bracket(matroid, system):
             if pool >> b & 1:
                 held &= columns[b]
         hit |= held
-    return set(compress(matroid._masks, f"{hit:b}"[::-1].encode().translate(_BITS)))
+    return hit
 
 
 class BasesIdentityReport:
@@ -271,15 +280,18 @@ class _Side:
         self.xor = xor              # parking set ^ xor = its basis: the ground's mask, or 0
         self.non_union = non_union  # index of the first part that is no union of circuits, or None
 
-    @cached_property
+    @_cached
+    def _survivors(self):
+        """``compress`` selectors over ``matroid._masks`` for its surviving
+        bases, those outside the reference's bracket; read backwards on the
+        cocircuit side, where ``dual`` lists the complements in reverse."""
+        return _selectors(~_bracket(self.reference, self.system), len(self.matroid._masks),
+                          self.name == "cocircuit")
+
+    @_cached
     def target(self):
-        """The masks of the surviving bases of ``matroid``: the reference's
-        bases outside its bracket, complemented back on the cocircuit side."""
-        survivors = frozenset(self.reference._masks).difference(_bracket(self.reference, self.system))
-        if self.name == "circuit":
-            return survivors
-        full = (1 << len(self.matroid.ground)) - 1
-        return frozenset(full ^ m for m in survivors)
+        """The masks of the surviving bases of ``matroid``."""
+        return frozenset(compress(self.matroid._masks, self._survivors))
 
     def identity(self):
         """The identity report: the surviving bases against the mapped
@@ -288,11 +300,10 @@ class _Side:
         rhs = {d ^ self.xor for d in table_sets(self.system)}
         if not unions:
             rhs.intersection_update(self.matroid._masks)
-        decode = self.system.universe.elements_of
-        lhs = frozenset(map(decode, self.target))
+        lhs = frozenset(compress(self.matroid.bases, self._survivors))
         return BasesIdentityReport(self.name, _FORMS[self.name][not unions],
-                                   self.system.sets, unions, lhs,
-                                   lhs if rhs == self.target else frozenset(map(decode, rhs)))
+                                   self.system.sets, unions, lhs, lhs if rhs == self.target
+                                   else frozenset(map(self.system.universe.elements_of, rhs)))
 
     def theorem(self):
         """The theorem bijection's pairs, checked against the surviving
@@ -411,8 +422,8 @@ def find_cocircuit_cover_families(matroid, limit=1):
     ``MAX_COVER_NODES`` extensions run out before ``limit`` are found.
     """
     k = matroid.rank_value
-    if k == 0:
-        return []
+    if k == 0:  # the empty family: no subfamily, so no exactly-one set to cover
+        return [()][:limit]
     candidates = cocircuit_union_subsets(matroid)
     masks = _parts_system(matroid, candidates).masks
     dual = matroid.dual

@@ -22,7 +22,6 @@ integers; the default weight of an element is its own id.
 
 import warnings
 from collections import namedtuple
-from functools import cached_property
 
 # The definitional oracles and the subfamily table walk all 2^k - 1 index
 # subsets and refuse beyond this; the certificates that validate input have no cap.
@@ -35,6 +34,21 @@ _EMPTY_MEMBER = "family contains an empty set: no parking function exists"
 
 class VerificationError(Exception):
     """A computed result contradicts what the theory guarantees."""
+
+
+class _cached:
+    """A property computed on first access into the instance ``__dict__``,
+    as ``functools.cached_property`` does from Python 3.12 on; before 3.12
+    that one takes one lock, shared by all instances, on each first access."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 class Universe:
@@ -59,17 +73,17 @@ class Universe:
         """Universe in which every element weighs its own id."""
         return cls({e: e for e in elements})
 
-    @cached_property
+    @_cached
     def elements(self):
         return frozenset(self._table)
 
-    @cached_property
+    @_cached
     def order(self):
         """The elements from lightest to heaviest: bit b of every mask over
         this universe stands for ``order[b]``, the lowest for the lightest."""
         return tuple(sorted(self._table, key=self._table.__getitem__))
 
-    @cached_property
+    @_cached
     def bit(self):
         """Each element's bit."""
         return {e: 1 << b for b, e in enumerate(self.order)}
@@ -121,8 +135,8 @@ class SetSystem:
     """
 
     def __init__(self, sets, universe=None, *, warn=True):
-        self._sets = tuple(frozenset(s) for s in sets)
-        covered = frozenset(e for s in self._sets for e in s)
+        self._sets = tuple(map(frozenset, sets))
+        covered = frozenset().union(*self._sets)
         if universe is None:
             universe = Universe.identity(covered)
         stray = covered - universe.elements
@@ -159,18 +173,19 @@ class SetSystem:
     def weight(self, element):
         return self._universe.weight(element)
 
-    @cached_property
+    @_cached
     def masks(self):
         """The family as masks in the universe's bit order, built on first
         use; an uncovered universe element has a bit no member holds."""
-        return tuple(map(self._universe.mask_of, self._sets))
+        bit = self._universe.bit  # the constructor refused elements outside it
+        return tuple(sum(map(bit.__getitem__, s)) for s in self._sets)
 
-    @cached_property
+    @_cached
     def table(self):
         """``subfamily_table`` of ``masks``, built on first use."""
         return subfamily_table(self.masks)
 
-    @cached_property
+    @_cached
     def pools(self):
         """The inclusion-minimal distinct masks of ``table``, by size: a set
         meets every pool, or contains some pool, exactly when it does so

@@ -60,25 +60,40 @@ MUTANTS = [
     (SYSTEMS, "return tuple(sorted(self._table, key=self._table.__getitem__))",
      "return tuple(sorted(self._table))",
      ["tests/test_bijections.py::test_weight_choice_changes_the_pairing"]),
+    # the pool dropped from the peel of parking_set_permutation; the table
+    # recomputed on every access
+    (SYSTEMS, "hit = masks[j] & pool & within", "hit = masks[j] & within",
+     ["tests/test_systems.py::test_set_certificate_u42"]),
+    (SYSTEMS, "    @_cached\n    def table(self):", "    @property\n    def table(self):",
+     ["tests/test_matroids.py::test_each_public_call_builds_one_subfamily_table"]),
     # the sweep's fix-or-delete rule and the walk's |A_j| - 1 budget
     (BIJECTIONS, "if e & fixed or used[j] == budget[j]:", "if used[j] == budget[j]:",
      ["tests/test_bijections.py::test_rho_u42"]),
     (BIJECTIONS, "budget = [a.bit_count() - 1 for a in masks]", "budget = [a.bit_count() - 2 for a in masks]",
      ["tests/test_enumeration.py::test_walk_leaves_equal_the_table_families"]),
-    # the graph layer: Dhar's burner, the union-find rank, n = 0
+    # the graph layer: Dhar's burner, the union-find rank, n = 0, the
+    # classic candidate test
     (GRAPHS, "if w and heat[w] == values[w - 1] + 1:", "if w and heat[w] == values[w - 1]:",
      ["tests/test_graphs.py::test_burning_matches_the_definition_on_random_multigraphs"]),
     (GRAPHS, "if ru != rv:", "if True:",
      ["tests/test_graphs.py::test_spanning_trees_match_the_brute_force_listing"]),
     (GRAPHS, "if n < 0:", "if n < 1:",
      ["tests/test_graphs.py::test_classic_n0_is_the_empty_function"]),
-    # the matroid layer: the bracket, the exchange check, the cover search's cap
+    (GRAPHS, "ordered[j] <= j + 1", "ordered[j] <= j + 2",
+     ["tests/test_graphs.py::test_classic_n2"]),
+    # the matroid layer: the bracket, the exchange check, the cover search's
+    # cap, and the survivors: the bracket's complement, read backwards on the
+    # cocircuit side
     (MATROIDS, "held &= columns[b]", "held |= columns[b]",
      ["tests/test_matroids.py::test_bracket_matches_the_definition_on_uniform_matroids"]),
     (MATROIDS, "low, x = min(fails)", "low, x = max(fails)",
      ["tests/test_matroids.py::test_exchange_validation_rejects_non_matroid"]),
     (MATROIDS, "if (1 << n) - 1 > MAX_CHECK_CANDIDATES:", "if (1 << n) - 1 >= MAX_CHECK_CANDIDATES:",
      ["tests/test_matroids.py::test_the_cover_search_refuses_before_its_subset_listing"]),
+    (MATROIDS, "_selectors(~_bracket(self.reference", "_selectors(_bracket(self.reference",
+     ["tests/test_matroids.py::test_the_identity_reports_match_the_set_route_byte_for_byte"]),
+    (MATROIDS, 'self.name == "cocircuit")', "False)",
+     ["tests/test_matroids.py::test_the_identity_reports_match_the_set_route_byte_for_byte"]),
 ]
 
 

@@ -97,6 +97,29 @@ def test_map_rejects_non_member(u42_file, capsys):
     assert capsys.readouterr().err == "error: input is not a parking set of the system\n"
 
 
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_map_takes_no_values_on_a_k0_system(tmp_path, capsys, json_flag):
+    # the empty function and the empty set pair off, as in verify and enumerate
+    path = tmp_path / "zero.txt"
+    path.write_text("0 0\n")
+    flags = ["--json"] * json_flag
+    assert main(["map", str(path), "--sigma", *flags]) == 0
+    assert capsys.readouterr().out == ('{"output": []}\n' if json_flag else "{}\n")
+    assert main(["map", str(path), "--rho", *flags]) == 0
+    assert capsys.readouterr().out == ('{"output": []}\n' if json_flag else "()\n")
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_map_without_values_on_a_k2_system_names_the_count(u42_file, capsys, json_flag):
+    flags = ["--json"] * json_flag
+    assert main(["map", u42_file, "--sigma", *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: expected 2 function values, got 0\n")
+    assert main(["map", u42_file, "--rho", *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: expected a 2-element set, got 0 elements\n")
+
+
 def test_map_has_no_trusted_flag(u42_file):
     with pytest.raises(SystemExit) as exit_:
         main(["map", u42_file, "--sigma", "0", "0", "--trusted"])

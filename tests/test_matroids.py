@@ -1,7 +1,8 @@
+import json
 import random
 import time
 import warnings
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from sparking import (
     uniform_matroid,
 )
 from sparking.graphs import (
+    Multigraph,
     complete_graph,
     face_boundary_bijection,
     g_parking_equals_s_parking,
@@ -31,9 +33,10 @@ from sparking.graphs import (
     star_sets,
 )
 from sparking.cli import main
-from sparking.enumeration import pool_filter
+from sparking.enumeration import _BITS, pool_filter, table_sets
 from sparking.formats import parse_matroid
-from sparking.matroids import _bracket, _checked_side, _independent_row, _parts_system
+from sparking.matroids import (_FORMS, BasesIdentityReport, _bracket, _checked_side,
+                               _independent_row, _parts_system)
 from sparking.systems import SetSystem, _system_over, exactly_one_sets
 
 
@@ -259,8 +262,10 @@ def test_minimal_pools_decide_the_filter_and_the_bracket(matroid, parts):
     assert all(any(p & q == p for p in pools) for q in table)
     masks = system.masks
     assert pool_filter(masks, pools) == pool_filter(masks, table)
-    assert _bracket(matroid, system) == {m for m in matroid._masks
-                                         if any(q & m == q for q in table)}
+    hit = _bracket(matroid, system)
+    assert {m for i, m in enumerate(matroid._masks) if hit >> i & 1} == {
+        m for m in matroid._masks if any(q & m == q for q in table)}
+    assert hit < 1 << len(matroid._masks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,6 +315,9 @@ def test_circuit_side_u42(u42):
     assert report.parts_are_unions
     assert report.form == "complements-of-parking-sets"
     assert len(report.lhs) == 5
+    # a part may be any iterable, read once
+    again = parking_sets_vs_bases_circuit_side(u42, [iter([1, 2, 3]), [1, 2, 4]])
+    assert again.to_jsonable() == report.to_jsonable()
 
 
 def test_circuit_side_rank_one():
@@ -450,6 +458,70 @@ def _cocircuit_side_by_definition(matroid, parts):
     return lhs, parking if unions else parking & bases, unions
 
 
+def _bracket_masks(matroid, system):
+    """The bracket of ``system`` on ``matroid`` as a set of basis masks."""
+    columns, hit = matroid._columns, 0
+    for pool in system.pools:
+        held = (1 << len(matroid._masks)) - 1
+        for b in range(pool.bit_length()):
+            if pool >> b & 1:
+                held &= columns[b]
+        hit |= held
+    return set(compress(matroid._masks, f"{hit:b}"[::-1].encode().translate(_BITS)))
+
+
+def _identity_by_the_set_route(matroid, parts, side):
+    """The identity report built as the library built it before its
+    bracket became a bitset: the bracket as a set of masks, the survivors
+    as a set difference, and one decode per surviving mask."""
+    checked = _checked_side(matroid, parts, side)
+    system, reference, xor = checked.system, checked.reference, checked.xor
+    target = frozenset(reference._masks).difference(_bracket_masks(reference, system))
+    if side == "cocircuit":
+        full = (1 << len(matroid.ground)) - 1
+        target = frozenset(full ^ m for m in target)
+    unions = checked.non_union is None
+    rhs = {d ^ xor for d in table_sets(system)}
+    if not unions:
+        rhs.intersection_update(matroid._masks)
+    decode = system.universe.elements_of
+    return BasesIdentityReport(side, _FORMS[side][not unions], system.sets, unions,
+                               frozenset(map(decode, target)), frozenset(map(decode, rhs)))
+
+
+def _identity_families():
+    """(matroid, parts, side): every U(n, r) with n <= 6 on both sides with
+    20 seeded parts families each, and the stars of graphic K4 and K5."""
+    rng = random.Random(41)
+    for n in range(7):
+        for r in range(n + 1):
+            matroid = uniform_matroid(n, r)
+            for side, k in (("circuit", n - r), ("cocircuit", r)):
+                for _ in range(20):
+                    yield matroid, [{e for e in range(1, n + 1) if rng.random() < 0.6}
+                                    for _ in range(k)], side
+    for n in (4, 5):
+        yield graphic_matroid(complete_graph(n)), star_sets(complete_graph(n)), "cocircuit"
+
+
+def test_the_identity_reports_match_the_set_route_byte_for_byte():
+    reports = unequal = 0
+    for matroid, parts, side in _identity_families():
+        report = _checked_side(matroid, parts, side).identity()
+        old = _identity_by_the_set_route(matroid, parts, side)
+        assert json.dumps(report.to_jsonable()) == json.dumps(old.to_jsonable())
+        assert (report.lhs, report.rhs) == (old.lhs, old.rhs)
+        reports += 1
+        unequal += report.lhs != frozenset(matroid.bases)
+        # the bracket and its complement split the bases, each in order
+        inside = _bracket_masks(matroid, _parts_system(matroid, parts))
+        assert matroid.bases_bracket(parts) == [
+            b for b, m in zip(matroid.bases, matroid._masks) if m in inside]
+        assert matroid.bases_prime(parts) == [
+            b for b, m in zip(matroid.bases, matroid._masks) if m not in inside]
+    assert reports == 1122 and unequal > 100
+
+
 def test_cocircuit_identity_matches_the_definition_on_uniform_matroids():
     rng = random.Random(5)
     for n in range(0, 6):
@@ -500,6 +572,17 @@ def test_search_finds_nothing_for_u42(u42):
     assert find_cocircuit_cover_families(u42, limit=3) == []
 
 
+def test_a_rank_0_matroid_has_the_empty_cover_family():
+    # no subfamily, so no exactly-one set to cover: the family of zero
+    # parts is the vertex stars of a one-vertex graph
+    for matroid in (graphic_matroid(Multigraph(1, [])), uniform_matroid(3, 0)):
+        assert matroid.rank_value == 0
+        assert find_cocircuit_cover_families(matroid) == [()]
+        assert find_cocircuit_cover_families(matroid, limit=3) == [()]
+        assert find_cocircuit_cover_families(matroid, limit=0) == []
+        assert corollary_full_cover(matroid, [], "cocircuit")
+
+
 def test_a_capped_cover_search_refuses_instead_of_returning_short(monkeypatch):
     # graphic K5 has cover families: 50 candidate extensions find two of
     # them, and the third needs more
@@ -546,8 +629,7 @@ def _cover_families_by_full_tables(matroid, limit):
             if _independent_row(_system_over(matroid.ground, extended), matroid.dual) is None:
                 extend(extended, idx + 1)
 
-    if k:
-        extend([], 0)
+    extend([], 0)  # at rank 0 the empty family is the one family
     return results[:limit]
 
 

@@ -21,6 +21,19 @@ def test_no_library_verdict_rests_on_assert():
     assert SOURCES and not found
 
 
+def test_no_library_module_uses_the_locking_cached_property():
+    # before Python 3.12, functools.cached_property takes one lock, shared by
+    # all instances, on every first access; systems._cached takes none
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if getattr(node, "attr", None) == "cached_property"
+             or getattr(node, "id", None) == "cached_property"
+             or isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name == "cached_property" for alias in node.names)]
+    assert SOURCES and not found
+
+
 ORACLES = {"enumerate_parking_functions", "enumerate_parking_sets",
            "is_parking_function", "is_parking_set"}
 

@@ -23,7 +23,7 @@ from sparking import (
     sigma,
 )
 from sparking.enumeration import all_set_systems, random_set_system
-from sparking.systems import exactly_one_sets
+from sparking.systems import _cached, exactly_one_sets
 
 
 # --- universes and systems -------------------------------------------------
@@ -76,6 +76,28 @@ def test_system_rejects_elements_outside_universe():
 def test_system_warns_on_empty_member():
     with pytest.warns(UserWarning):
         SetSystem([{1}, set()])
+
+
+def test_cached_properties_compute_once_per_instance_into_the_instance_dict():
+    calls = []
+
+    class Box:
+        @_cached
+        def value(self):
+            """The value."""
+            calls.append(self)
+            return [len(calls)]
+
+    first, second = Box(), Box()
+    assert first.value is first.value and first.value == [1]
+    assert first.__dict__ == {"value": [1]}
+    assert second.value == [2] and calls == [first, second]
+    # class access returns the descriptor itself, with its docstring
+    assert isinstance(Box.value, _cached) and Box.value.__doc__ == "The value."
+    # the library's own: a universe's order, a system's masks and table
+    system = SetSystem([{1, 2, 3}, {1, 2, 4}])
+    assert system.table is system.table and "table" in vars(system)
+    assert system.universe.order is system.universe.order
 
 
 def test_set_at_is_one_based(u42_system):
