@@ -11,8 +11,9 @@ import argparse
 import os
 import sys
 import warnings
+from math import prod
 
-from .enumeration import random_set_system, table_sets, tree_pairs, verify_bijection
+from .enumeration import _box_budget, random_set_system, table_sets, tree_pairs, verify_bijection
 from .bijections import rho, sigma
 from .formats import (
     FormatError,
@@ -73,6 +74,7 @@ def _cmd_enumerate(args):
         sorted(system.universe.elements_of(d)) for d in table_sets(system))
     families = {}
     if args.which != "sets":
+        _box_budget(prod(map(len, system.sets)))  # the walk may list the whole box
         families["functions"] = [list(f) for f, _ in tree_pairs(system)]
     if sets is not None:
         families["sets"] = sets

@@ -30,6 +30,8 @@ table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
 more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
 ``table_sets``, ``mask_families`` and ``verify_bijection`` call it first,
 and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
+``_box_budget`` is its value-box cap alone, which ``sparking enumerate``
+applies before the sweep tree lists the parking functions.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
@@ -173,9 +175,10 @@ def check_roundtrip(masks, functions, sets, show=lambda d: f"0b{d:b}"):
     the parking sets ``sets`` (given as masks) and ``rho`` maps them back.
 
     Returns the forward map (function -> mask, None where the sweep
-    stalls) and the failure lines, in which ``show`` renders a mask.
+    stalls) and the failure lines, in which ``show`` renders a mask and a
+    stalled sweep, either way, reads "a stall".
     """
-    def render(d):
+    def render(d, show=show):
         return "a stall" if d is None else show(d)
 
     failures = []
@@ -197,7 +200,7 @@ def check_roundtrip(masks, functions, sets, show=lambda d: f"0b{d:b}"):
             failures.append(f"rho(sigma({f})) = {backward[d]} != {f}")
     for d, f in backward.items():
         if f not in forward:
-            failures.append(f"rho({show(d)}) = {f} is not a parking function")
+            failures.append(f"rho({show(d)}) = {render(f, str)} is not a parking function")
         elif forward[f] != d:
             failures.append(f"sigma(rho({show(d)})) = {render(forward[f])} != {show(d)}")
     return forward, failures
@@ -250,30 +253,18 @@ def all_mask_systems(max_k, max_universe, canonical=True):
     For each k, then m, the k-tuples of masks come in lexicographic order;
     with ``canonical`` only the lexicographically smallest relabeling of
     the set indices, the non-decreasing tuple, is emitted — all verified
-    properties are invariant under that relabeling.
+    properties are invariant under that relabeling.  The tuples come from
+    ``combinations_with_replacement`` (canonical) or ``product`` over
+    ``range(1 << m)``, kept when their union is all m bits.
     """
-    for _, k, m, masks in _dealt_mask_systems(max_k, max_universe, canonical, 0, 1):
-        yield k, m, masks
-
-
-def _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
-    """(index, k, m, masks) for the systems of :func:`all_mask_systems`
-    whose position in its stream is ``share`` modulo ``shares``.  The
-    tuples come from ``combinations_with_replacement`` (canonical) or
-    ``product`` over ``range(1 << m)``, kept when their union is all m
-    bits; every share walks the whole stream."""
-    def systems():
-        for k in range(1, max_k + 1):
-            for m in range(max_universe + 1):
-                full, subsets = (1 << m) - 1, range(1 << m)
-                tuples = (combinations_with_replacement(subsets, k) if canonical
-                          else product(subsets, repeat=k))
-                for t in tuples:
-                    if reduce(or_, t) == full:
-                        yield k, m, t
-
-    for index, (k, m, masks) in islice(enumerate(systems()), share, None, shares):
-        yield index, k, m, masks
+    for k in range(1, max_k + 1):
+        for m in range(max_universe + 1):
+            full, subsets = (1 << m) - 1, range(1 << m)
+            tuples = (combinations_with_replacement(subsets, k) if canonical
+                      else product(subsets, repeat=k))
+            for t in tuples:
+                if reduce(or_, t) == full:
+                    yield k, m, t
 
 
 def system_from_masks(masks):
@@ -310,6 +301,13 @@ def random_set_system(rng, max_k=4, max_universe=6, shuffled_weights=False):
 _BITS = bytes.maketrans(b"01", b"\0\1")    # binary digits to compress() selectors
 
 
+def _selectors(bits, n, backwards=False):
+    """``compress`` selectors for the set bits of ``bits`` (negative for a
+    complement) among the indices 0..n-1, or n-1..0 when ``backwards``."""
+    digits = f"{bits & (1 << n) - 1:0{n}b}"
+    return (digits if backwards else digits[::-1]).encode().translate(_BITS)
+
+
 def box_filter(boxes, thresholds):
     """The value tuples f of the box ``boxes``, in lexicographic order,
     for which every threshold list holds some (j, t) with f[j] < t.
@@ -337,20 +335,26 @@ def box_filter(boxes, thresholds):
             stride, period, repeat = runs[j]
             held &= (period >> t * stride << t * stride) * repeat
         keep &= ~held
-    return list(compress(product(*boxes), f"{keep:b}"[::-1].encode().translate(_BITS)))
+    return list(compress(product(*boxes), _selectors(keep, cells)))
 
 
 def _candidate_budget(k, covered, cells=1):
     """Refuse a family of k sets over ``covered`` elements before any
     table is built or any candidate tried: k > ``MAX_CHECK_SETS``, more
     than ``MAX_CHECK_CANDIDATES`` k-subsets of the covered elements, or
-    more than that many ``cells`` in the value box."""
+    more than that many ``cells`` in the value box (``_box_budget``)."""
     _subset_budget(k)
     candidates = comb(covered, k)
     if candidates > MAX_CHECK_CANDIDATES:
         raise ValueError(
             f"too large: C({covered}, {k}) = {candidates} candidate sets; "
             f"filtering the parking sets is capped at {MAX_CHECK_CANDIDATES}")
+    _box_budget(cells)
+
+
+def _box_budget(cells):
+    """Refuse more than ``MAX_CHECK_CANDIDATES`` ``cells`` in the value box,
+    which also bounds the parking functions the sweep tree can list."""
     if cells > MAX_CHECK_CANDIDATES:
         raise ValueError(
             f"too large: {cells} value vectors in the box; "
@@ -418,10 +422,13 @@ class ScanReport:
 
 
 def _scan_share(max_k, max_universe, canonical, share, shares):
-    """(systems, members, [(generator index, failure line)]) over one share."""
+    """(systems, members, [(generator index, failure line)]) over the
+    systems of :func:`all_mask_systems` whose position in its stream is
+    ``share`` modulo ``shares``; every share walks the whole stream."""
     systems = members = 0
     failures = []
-    for index, _, _, masks in _dealt_mask_systems(max_k, max_universe, canonical, share, shares):
+    stream = enumerate(all_mask_systems(max_k, max_universe, canonical))
+    for index, (_, _, masks) in islice(stream, share, None, shares):
         systems += 1
         ps, qs = mask_families(masks)
         members += len(ps)

@@ -65,18 +65,25 @@ def _fraction(token, line):
         raise FormatError(f"bad weight {token!r}", line) from None
 
 
-def parse_set_system(text):
+def _header(text, keyword, count, form):
+    """The first content line of ``text``, its header, as (its number, its
+    ``count`` integers, which follow ``keyword`` unless that is None), and
+    the content lines after it; ``form`` names a malformed header."""
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty input")
     line, head = lines[0]
     tokens = head.split()
-    if len(tokens) != 2:
-        raise FormatError("expected 'k m' header", line)
-    k, m = _ints(tokens, line, "header")
+    fields = tokens[1:] if keyword else tokens
+    if len(fields) != count or keyword and tokens[0] != keyword:
+        raise FormatError(f"expected '{form}' header", line)
+    return line, _ints(fields, line, "header"), lines[1:]
+
+
+def parse_set_system(text):
+    line, (k, m), body = _header(text, None, 2, "k m")
     if k < 0 or m < 0:
         raise FormatError("k and m must be non-negative", line)
-    body = lines[1:]
     universe = None
     if body and body[0][1].split()[0] == "weights":
         wline, wtext = body[0]
@@ -155,16 +162,9 @@ def load_set_system(text):
 
 
 def parse_matroid(text):
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    line, head = lines[0]
-    tokens = head.split()
-    if len(tokens) != 3 or tokens[0] != "ground":
-        raise FormatError("expected 'ground n r' header", line)
-    n, r = _ints(tokens[1:], line, "header")
+    _, (n, r), body = _header(text, "ground", 2, "ground n r")
     bases = []
-    for line, content in lines[1:]:
+    for line, content in body:
         ids = _ints(content.split(), line, "element id")
         bad = [e for e in ids if not 1 <= e <= n]
         if bad:
@@ -178,16 +178,9 @@ def parse_matroid(text):
 
 
 def parse_multigraph(text):
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError("empty input")
-    line, head = lines[0]
-    tokens = head.split()
-    if len(tokens) != 2 or tokens[0] != "vertices":
-        raise FormatError("expected 'vertices N' header", line)
-    (n_vertices,) = _ints(tokens[1:], line, "header")
+    _, (n_vertices,), body = _header(text, "vertices", 1, "vertices N")
     edges = []
-    for line, content in lines[1:]:
+    for line, content in body:
         parts = _ints(content.split(), line, "edge field")
         if len(parts) != 3:
             raise FormatError("expected 'id u v'", line)

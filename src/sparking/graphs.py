@@ -23,6 +23,7 @@ graphic matroid (``matroids._checked_side``): its cover precondition
 comes off the exactly-one pools of the boundary system's subfamily table.
 """
 
+from functools import partial
 from itertools import product
 from math import comb, prod
 
@@ -63,11 +64,7 @@ class Multigraph:
         # earlier keeps a huge vertex count from being allocated
         if sum(u != v for _, u, v in self.edges) < self.n_vertices - 1:
             return False
-        parent = list(range(self.n_vertices))
-        for _, u, v in self.edges:
-            parent[_find(parent, u)] = _find(parent, v)
-        root = _find(parent, 0)
-        return all(_find(parent, v) == root for v in range(self.n_vertices))
+        return _merges(self.n_vertices, [(u, v) for _, u, v in self.edges]) == self.n_vertices - 1
 
     def __repr__(self):
         return f"Multigraph({self.n_vertices} vertices, {len(self.edges)} edges)"
@@ -85,6 +82,21 @@ def _find(parent, a):
         parent[a] = parent[parent[a]]
         a = parent[a]
     return a
+
+
+def _merges(n_vertices, ends, mask=-1):
+    """The merges union-find makes along the edges ``ends`` (endpoint
+    pairs over vertices 0..n_vertices-1) whose bits are set in ``mask``,
+    all of them by default: the rank of those edges in the graphic matroid."""
+    parent = list(range(n_vertices))
+    merges = 0
+    for b, (u, v) in enumerate(ends):
+        if mask >> b & 1:
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                merges += 1
+    return merges
 
 
 def spanning_trees(graph):
@@ -123,30 +135,20 @@ def deletion_contraction_count(graph):
 def graphic_matroid(graph):
     """Matroid on the edge ids whose bases are the spanning trees; loops
     live in the ground set but in no basis.  The rank of an edge set is
-    the number of merges union-find makes along it; bit b stands for the
-    b-th smallest edge id.  The bases are the (|V| - 1)-sets of non-loop
-    edges of full rank, in combination order, ranked only if they meet
-    every star (``pool_filter``), as a spanning tree does.  Refuses a
-    disconnected graph, then more than ``MAX_CHECK_CANDIDATES`` candidates."""
+    the number of merges union-find makes along it (``_merges``); bit b
+    stands for the edge ``order[b]`` of the star system's universe.  The
+    bases are the (|V| - 1)-sets of non-loop edges of full rank, in
+    combination order, ranked only if they meet every star
+    (``pool_filter``), as a spanning tree does.  Refuses a disconnected
+    graph, then more than ``MAX_CHECK_CANDIDATES`` candidates."""
     stars = star_system(graph)  # refuses a disconnected graph
     n, covered = stars.k, len(stars.covered)  # covered: the non-loop edges
     if comb(covered, n) > MAX_CHECK_CANDIDATES:
         raise ValueError(
             f"too large: C({covered}, {n}) = {comb(covered, n)} candidate edge sets; "
             f"listing the spanning trees is capped at {MAX_CHECK_CANDIDATES}")
-    ends = [(u, v) for _, u, v in sorted(graph.edges)]
-
-    def rank(mask):
-        parent = list(range(graph.n_vertices))
-        merges = 0
-        for b, (u, v) in enumerate(ends):
-            if mask >> b & 1:
-                ru, rv = _find(parent, u), _find(parent, v)
-                if ru != rv:
-                    parent[ru] = rv
-                    merges += 1
-        return merges
-
+    ends = {e: (u, v) for e, u, v in graph.edges}
+    rank = partial(_merges, graph.n_vertices, [ends[e] for e in stars.universe.order])
     trees = [m for m in pool_filter(stars.masks, stars.masks) if rank(m) == n]
     return Matroid._by_construction(graph.edge_ids, trees, rank)
 

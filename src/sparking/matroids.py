@@ -23,7 +23,7 @@ decoded sets are picked from the cached lists by that bitset's complement.
 from itertools import combinations, compress
 from math import comb
 
-from .enumeration import _BITS, paired_images, table_sets
+from .enumeration import _selectors, paired_images, table_sets
 from .systems import (MAX_CHECK_CANDIDATES, SetSystem, Universe, VerificationError, _cached,
                       _system_over)
 
@@ -211,13 +211,6 @@ def _parts_system(matroid, parts):
         if not p <= matroid.ground:
             raise ValueError(f"part {i} is not inside the ground set")
     return SetSystem(parts, matroid._universe, warn=False)
-
-
-def _selectors(bits, n, backwards=False):
-    """``compress`` selectors for the set bits of ``bits`` (negative for a
-    complement) among the indices 0..n-1, or n-1..0 when ``backwards``."""
-    digits = f"{bits & (1 << n) - 1:0{n}b}"
-    return (digits if backwards else digits[::-1]).encode().translate(_BITS)
 
 
 def _bracket(matroid, system):

@@ -26,7 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ENUMERATION, SYSTEMS = "src/sparking/enumeration.py", "src/sparking/systems.py"
 BIJECTIONS, GRAPHS = "src/sparking/bijections.py", "src/sparking/graphs.py"
-MATROIDS = "src/sparking/matroids.py"
+MATROIDS, FORMATS = "src/sparking/matroids.py", "src/sparking/formats.py"
+CLI = "src/sparking/cli.py"
 
 # (file, snippet, replacement, test ids that must fail on the mutant)
 MUTANTS = [
@@ -50,6 +51,14 @@ MUTANTS = [
      ["tests/test_enumeration.py::test_the_candidate_caps_are_inclusive"]),
     (ENUMERATION, "if cells > MAX_CHECK_CANDIDATES:", "if cells >= MAX_CHECK_CANDIDATES:",
      ["tests/test_enumeration.py::test_the_candidate_caps_are_inclusive"]),
+    # the selectors read low bit first, as box_filter takes them; a stalled
+    # rho in the roundtrip's failure lines; enumerate's box cap
+    (ENUMERATION, "digits if backwards else digits[::-1]", "digits",
+     ["tests/test_enumeration.py::test_box_filter_agrees_with_the_per_cell_loop"]),
+    (ENUMERATION, "{render(f, str)} is not a parking function", "{f} is not a parking function",
+     ["tests/test_enumeration.py::test_roundtrip_check_reports_failures"]),
+    (CLI, "_box_budget(prod(map(len, system.sets)))", "None",
+     ["tests/test_cli.py::test_enumerate_functions_refuses_a_box_beyond_the_cap_before_it_walks"]),
     (SYSTEMS, "if k > MAX_CHECK_SETS:", "if k > MAX_CHECK_SETS + 1:",
      ["tests/test_enumeration.py::test_the_candidate_caps_are_inclusive"]),
     # the certificates, the input checks and the weight order
@@ -71,12 +80,17 @@ MUTANTS = [
      ["tests/test_bijections.py::test_rho_u42"]),
     (BIJECTIONS, "budget = [a.bit_count() - 1 for a in masks]", "budget = [a.bit_count() - 2 for a in masks]",
      ["tests/test_enumeration.py::test_walk_leaves_equal_the_table_families"]),
-    # the graph layer: Dhar's burner, the union-find rank, n = 0, the
-    # classic candidate test
+    # the graph layer: Dhar's burner, the union-find rank (its merges, the
+    # edges it reads from a mask, their bit order), n = 0, the classic
+    # candidate test
     (GRAPHS, "if w and heat[w] == values[w - 1] + 1:", "if w and heat[w] == values[w - 1]:",
      ["tests/test_graphs.py::test_burning_matches_the_definition_on_random_multigraphs"]),
     (GRAPHS, "if ru != rv:", "if True:",
      ["tests/test_graphs.py::test_spanning_trees_match_the_brute_force_listing"]),
+    (GRAPHS, "if mask >> b & 1:", "if mask >> b:",
+     ["tests/test_graphs.py::test_spanning_trees_match_the_brute_force_listing"]),
+    (GRAPHS, "for e in stars.universe.order]", "for e, _, _ in graph.edges]",
+     ["tests/test_graphs.py::test_graphic_bases_follow_the_bit_order_of_the_universe"]),
     (GRAPHS, "if n < 0:", "if n < 1:",
      ["tests/test_graphs.py::test_classic_n0_is_the_empty_function"]),
     (GRAPHS, "ordered[j] <= j + 1", "ordered[j] <= j + 2",
@@ -94,6 +108,9 @@ MUTANTS = [
      ["tests/test_matroids.py::test_the_identity_reports_match_the_set_route_byte_for_byte"]),
     (MATROIDS, 'self.name == "cocircuit")', "False)",
      ["tests/test_matroids.py::test_the_identity_reports_match_the_set_route_byte_for_byte"]),
+    # the one header reader's keyword check
+    (FORMATS, " or keyword and tokens[0] != keyword", "",
+     ["tests/test_formats.py::test_each_reader_names_its_header_form"]),
 ]
 
 

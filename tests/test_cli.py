@@ -429,6 +429,28 @@ def test_k12_spanning_trees_are_refused_at_once(command, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_enumerate_functions_refuses_a_box_beyond_the_cap_before_it_walks(tmp_path, capsys,
+                                                                         monkeypatch):
+    # the K12 stars: 11^11 value vectors in the box and 12^10 parking
+    # functions, which the walk would list for hours; --both keeps the
+    # refusal of its sets, which come first
+    def walk(masks):
+        raise AssertionError("the sweep tree was walked")
+
+    monkeypatch.setattr(sparking.enumeration, "walk", walk)
+    path = tmp_path / "stars.txt"
+    path.write_text("11 66\n" + "".join(" ".join(map(str, sorted(s))) + "\n"
+                                        for s in star_sets(complete_graph(12))))
+    for which, refusal in (("--functions", f"{11 ** 11} value vectors in the box; filtering "
+                                           "the parking functions is capped at 10000000"),
+                           ("--both", "C(66, 11) = 1074082795968 candidate sets; filtering "
+                                      "the parking sets is capped at 10000000")):
+        for flags in ([], ["--json"]):
+            assert main(["enumerate", str(path), which, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: too large: {refusal}\n" and captured.out == ""
+
+
 def test_k7_circuit_side_with_the_cone_triangles_runs_in_seconds(tmp_path):
     # 16,807 bases against the pools of 32,767 subfamilies: a per-basis
     # scan of every pool took 78 s; the column bracket over the 1,172

@@ -259,6 +259,10 @@ def test_roundtrip_check_reports_failures():
     _, failures = check_roundtrip(masks, ps[1:] + [(2, 2)], qs)
     assert failures == ["sigma((2, 2)) = a stall is not a parking set",
                         "rho(0b101) = (0, 0) is not a parking function"]
+    ps, qs = mask_families((1, 6))       # {1} and {2,3}: rho stalls on {2,3}
+    _, failures = check_roundtrip((1, 6), ps, qs + [0b110])
+    assert failures == ["|P|=2 differs from |Q|=3",
+                        "rho(0b110) = a stall is not a parking function"]
 
 
 def test_the_candidate_caps_are_inclusive(monkeypatch):
@@ -294,12 +298,24 @@ def _no_child_left():
 
 
 @pytest.mark.parametrize("canonical", [False, True])
-def test_scan_shares_deal_out_the_generator(canonical):
-    entries = list(all_mask_systems(3, 4, canonical))
-    dealt = sorted(entry for share in range(3)
-                   for entry in sparking.enumeration._dealt_mask_systems(3, 4, canonical, share, 3))
-    assert [entry[1:] for entry in dealt] == entries
-    assert [entry[0] for entry in dealt] == list(range(len(entries)))
+def test_scan_shares_deal_out_the_generator(canonical, monkeypatch):
+    # every system fails, so each share reports the generator index of
+    # every system it was dealt, and the masks it checked come in order
+    checked = []
+    monkeypatch.setattr(sparking.enumeration, "mask_families",
+                        lambda masks: checked.append(masks) or ([], []))
+    monkeypatch.setattr(sparking.enumeration, "check_roundtrip",
+                        lambda masks, ps, qs: (None, ["dealt"]))
+    entries = [masks for _, _, masks in all_mask_systems(3, 4, canonical)]
+    dealt = []
+    for share in range(3):
+        del checked[:]
+        systems, _, failures = sparking.enumeration._scan_share(3, 4, canonical, share, 3)
+        indices = [index for index, _ in failures]
+        assert indices == list(range(share, len(entries), 3))
+        assert checked == [entries[index] for index in indices] and systems == len(indices)
+        dealt += indices
+    assert sorted(dealt) == list(range(len(entries)))
 
 
 @pytest.mark.parametrize("scan", [(2, 4, False), (3, 5, False), (3, 5, True), (4, 4, True)],

@@ -277,6 +277,25 @@ def test_json_ids_follow_the_one_integer_rule(value):
     assert system.sets == (frozenset({1, 2, 3}),) and system.weight(3) == 5
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (parse_set_system, "# only a comment\n\n", "empty input"),
+    (parse_set_system, "2 4 1\n", "line 1: expected 'k m' header"),
+    (parse_set_system, "# c\nk m\n", "line 2: expected integer headers, got ['k', 'm']"),
+    (parse_matroid, "", "empty input"),
+    (parse_matroid, "grund 4 2\n1 2\n", "line 1: expected 'ground n r' header"),
+    (parse_matroid, "ground 4\n", "line 1: expected 'ground n r' header"),
+    (parse_matroid, "ground 4 x\n", "line 1: expected integer headers, got ['4', 'x']"),
+    (parse_multigraph, "\n", "empty input"),
+    (parse_multigraph, "vertex 3\n1 0 1\n", "line 1: expected 'vertices N' header"),
+    (parse_multigraph, "vertices 3 4\n", "line 1: expected 'vertices N' header"),
+    (parse_multigraph, "vertices three\n", "line 1: expected integer headers, got ['three']"),
+])
+def test_each_reader_names_its_header_form(reader, text, message):
+    with pytest.raises(FormatError) as caught:
+        reader(text)
+    assert str(caught.value) == message
+
+
 def test_parse_matroid():
     text = "ground 4 2\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
     matroid = parse_matroid(text)

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -52,6 +53,47 @@ def test_connectivity():
     assert not Multigraph(3, [(1, 0, 1)]).is_connected()
     # loops do not connect anything
     assert not Multigraph(2, [(1, 1, 1)]).is_connected()
+
+
+def _connected_by_roots(graph):
+    """The root-comparison union-find that ``is_connected`` ran before it
+    counted merges, after the same edge-count refusal."""
+    if sum(u != v for _, u, v in graph.edges) < graph.n_vertices - 1:
+        return False
+    parent = list(range(graph.n_vertices))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for _, u, v in graph.edges:
+        parent[find(u)] = find(v)
+    root = find(0)
+    return all(find(v) == root for v in range(graph.n_vertices))
+
+
+def test_connectivity_equals_the_root_comparison_union_find():
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        graph = Multigraph(n, [(i, u, v) for i, (u, v) in enumerate(ends, start=1)])
+        connected = graph.is_connected()
+        assert connected == _connected_by_roots(graph)
+        touched = {x for pair in ends for x in pair}
+        seen.update({"connected": connected, "disconnected": not connected,
+                     "loop": any(u == v for u, v in ends),
+                     "parallel": len(set(map(frozenset, ends))) < len(ends),
+                     "isolated": len(touched) < n,
+                     "refused early": sum(u != v for u, v in ends) < n - 1,
+                     "disconnected with enough edges":
+                         not connected and sum(u != v for u, v in ends) >= n - 1})
+    assert min(seen.values()) >= 20, seen
+    # the refusal comes before any per-vertex allocation
+    assert not Multigraph(10 ** 12, [(1, 0, 1)]).is_connected()
 
 
 # --- spanning trees ------------------------------------------------------------
@@ -114,6 +156,17 @@ def test_spanning_trees_match_the_brute_force_listing():
         assert spanning_trees(g) == trees
         mask_of = Universe.identity(g.edge_ids).mask_of
         assert graphic_matroid(g)._masks == tuple(map(mask_of, trees))
+
+
+def test_graphic_bases_follow_the_bit_order_of_the_universe():
+    # edge ids with gaps, listed out of id order, with a loop and parallels:
+    # bit b stands for the b-th smallest id whatever the listing order
+    g = Multigraph(4, [(40, 2, 3), (7, 0, 1), (19, 1, 2), (3, 0, 2), (88, 3, 3),
+                       (12, 0, 3), (25, 1, 2), (2, 3, 2)])
+    trees = _brute_force_trees(g)
+    matroid = graphic_matroid(g)
+    assert len(trees) == 21 and list(matroid.bases) == trees
+    assert matroid._masks == tuple(map(Universe.identity(g.edge_ids).mask_of, trees))
 
 
 def test_deletion_contraction_matches_cayley():
