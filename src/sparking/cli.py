@@ -27,7 +27,7 @@ from .formats import (
     render_pairing_table,
 )
 from .graphs import face_boundary_bijection, graphic_matroid, spanning_tree_bijection
-from .matroids import PreconditionError, _checked_side, uniform_matroid
+from .matroids import PreconditionError, _Side, uniform_matroid
 from .systems import SetSystem, VerificationError
 
 
@@ -164,8 +164,8 @@ def _cmd_matroid(args):
     matroid = _load_matroid(args.matroid)
     parts = load_set_system(_read(args.parts))
     weights = {e: parts.weight(e) for e in parts.universe.order}
-    side = _checked_side(matroid, parts.sets, args.side,
-                         None if all(e == w for e, w in weights.items()) else weights)
+    side = _Side(matroid, parts.sets, args.side,
+                 None if all(e == w for e, w in weights.items()) else weights)
     report, pairs, cover = side.identity(), side.theorem(), side.cover()
     if args.json:
         _emit_json({"identity": report.to_jsonable(),

@@ -24,18 +24,17 @@ private size of every subfamily and the k-subsets that meet every pool.
 Two rules skip work that cannot reject anything: the value oracle drops
 each subfamily with a member wholly private to it, which every vector
 of the box beats, and ``mask_families`` returns both families empty,
-unfiltered, when some pool is empty.  ``verify_bijection`` and the tests
-use the oracles.  ``_candidate_budget`` refuses as too large, before any
-table is built or any candidate tried, k beyond ``MAX_CHECK_SETS`` and
-more than ``MAX_CHECK_CANDIDATES`` candidate sets or value vectors;
-``table_sets``, ``mask_families`` and ``verify_bijection`` call it first,
-and ``verify_bijection`` also caps the oracles' candidate-subfamily pairs.
-``_box_budget`` is its value-box cap alone, which ``sparking enumerate``
-applies before the sweep tree lists the parking functions.
+unfiltered, when some pool is empty.  ``verify_bijection`` takes P from
+the value oracle and Q from ``table_sets``; the tests use both oracles.
+``_candidate_budget`` refuses as too large, before any table is built or
+any candidate tried, k beyond ``MAX_CHECK_SETS`` and more than
+``MAX_CHECK_CANDIDATES`` candidate sets or value vectors (``_box_budget``,
+the value-box cap alone, which ``sparking enumerate`` and the graph layer
+apply too); each oracle also refuses by ``_oracle_budget`` first.
 
 ``check_roundtrip`` is the one roundtrip check: it runs the shared sweep
 on both families in bitmask form.  ``verify_bijection`` feeds it the
-definitional families of one system; ``exhaustive_roundtrip_scan`` feeds
+families of one system; ``exhaustive_roundtrip_scan`` feeds
 it the table's families of every small system of a generator, dealt
 round-robin, by position in the generator, into the shares of
 ``_run_shares``, the one share runner: one share per CPU of the process's
@@ -64,8 +63,8 @@ from .systems import (
     subfamily_table,
 )
 
-# The oracles test each candidate against up to 2^k subfamilies;
-# ``verify_bijection`` refuses more candidate-subfamily pairs than this.
+# The oracles test each candidate against up to 2^k subfamilies, and
+# refuse more candidate-subfamily pairs than this.
 MAX_ORACLE_PAIRS = 10 ** 8
 
 
@@ -87,9 +86,13 @@ def enumerate_parking_functions(system):
     when it beats one of them in every subfamily.  A subfamily with a
     member whose whole set is private to it, every singleton among them,
     is beaten by every vector of the box, so only the others are tested.
-    Returns [] with a warning when some family member is empty.
+    Refuses by ``_box_budget``, then ``_oracle_budget``, before it folds
+    a pool; returns [] with a warning when some family member is empty.
     """
     sets = system.sets
+    cells = prod(map(len, sets))
+    _box_budget(cells)
+    _oracle_budget(cells, "value vectors", len(sets))
     if _empty_member(sets):
         return []
     private = []
@@ -104,9 +107,13 @@ def enumerate_parking_functions(system):
 def enumerate_parking_sets(system):
     """All parking sets, sorted by their sorted element tuples: the
     k-subsets of the covered elements that meet the exactly-one set of
-    every subfamily, each of those sets folded once."""
+    every subfamily, each of those sets folded once after the refusals
+    of ``_candidate_budget`` and ``_oracle_budget``."""
+    k, covered = system.k, sorted(system.covered)
+    _candidate_budget(k, len(covered))
+    _oracle_budget(comb(len(covered), k), "candidate sets", k)
     pools = [pool for _, pool in _subfamily_pools(system)]
-    candidates = map(frozenset, combinations(sorted(system.covered), system.k))
+    candidates = map(frozenset, combinations(covered, k))
     return [d for d in candidates if all(not d.isdisjoint(pool) for pool in pools)]
 
 
@@ -149,25 +156,19 @@ class VerificationReport:
 
 def verify_bijection(system):
     """Enumerate both families and check the two mappings are mutually
-    inverse between them; failures are report content.  Refuses by
-    ``_candidate_budget``, and more than ``MAX_ORACLE_PAIRS`` box cells or
-    candidate sets times 2^k subfamilies, before it enumerates anything."""
-    k, covered, cells = system.k, len(system.covered), prod(map(len, system.sets))
-    _candidate_budget(k, covered, cells)
-    for count, what in ((cells, "value vectors"), (comb(covered, k), "candidate sets")):
-        if count << k > MAX_ORACLE_PAIRS:
-            raise ValueError(
-                f"too large: {count} {what} times 2^{k} subfamilies; checking them by "
-                f"definition is capped at {MAX_ORACLE_PAIRS} pairs")
+    inverse between them; failures are report content.  P comes from the
+    value oracle, Q from ``table_sets``.  Refuses by ``_candidate_budget``,
+    then as the oracle does, before it enumerates anything."""
+    _candidate_budget(system.k, len(system.covered))
     functions = enumerate_parking_functions(system)
-    sets_ = enumerate_parking_sets(system)
+    found = table_sets(system)
     universe = system.universe
     forward, failures = check_roundtrip(
-        system.masks, functions, [universe.mask_of(d) for d in sets_],
-        show=lambda d: sorted(universe.elements_of(d)))
+        system.masks, functions, found, show=lambda d: sorted(universe.elements_of(d)))
     pairs = [(f, universe.elements_of(forward[f])) for f in functions
              if forward[f] is not None]
-    return VerificationReport(functions, sets_, pairs, failures)
+    return VerificationReport(functions, sorted(map(universe.elements_of, found), key=sorted),
+                              pairs, failures)
 
 
 def check_roundtrip(masks, functions, sets, show=lambda d: f"0b{d:b}"):
@@ -359,6 +360,15 @@ def _box_budget(cells):
         raise ValueError(
             f"too large: {cells} value vectors in the box; "
             f"filtering the parking functions is capped at {MAX_CHECK_CANDIDATES}")
+
+
+def _oracle_budget(count, what, k):
+    """Refuse more than ``MAX_ORACLE_PAIRS`` ``count`` candidates times 2^k
+    subfamilies, the pairs a definitional oracle may test."""
+    if count << k > MAX_ORACLE_PAIRS:
+        raise ValueError(
+            f"too large: {count} {what} times 2^{k} subfamilies; checking them by "
+            f"definition is capped at {MAX_ORACLE_PAIRS} pairs")
 
 
 def pool_filter(masks, pools):

@@ -19,7 +19,7 @@ Postnikov-Shapiro 2004) on the graph itself, in O(|E|) per vector with
 no cap on the vertex count; the star side of the equivalence is the
 star system's sweep tree, so the two lists are computed by different
 algorithms.  The face-boundary bijection is the circuit side of the
-graphic matroid (``matroids._checked_side``): its cover precondition
+graphic matroid (``matroids._Side``): its cover precondition
 comes off the exactly-one pools of the boundary system's subfamily table.
 """
 
@@ -28,8 +28,8 @@ from itertools import product
 from math import comb, prod
 
 from .bijections import walk
-from .enumeration import paired_images, pool_filter
-from .matroids import Matroid, PreconditionError, _checked_side, _independent_row
+from .enumeration import _box_budget, paired_images, pool_filter
+from .matroids import Matroid, PreconditionError, _independent_row, _Side
 from .systems import MAX_CHECK_CANDIDATES, _subset_budget, _system_over
 
 
@@ -106,30 +106,23 @@ def spanning_trees(graph):
 
 
 def deletion_contraction_count(graph):
-    """Spanning-tree count by deletion-contraction; independent of the
-    listing in ``graphic_matroid``."""
+    """Spanning-tree count by deletion-contraction, off an explicit stack;
+    independent of the listing in ``graphic_matroid``.  A branch with fewer
+    non-loop edges than its vertices minus one spans nothing: it counts 0."""
     if not graph.is_connected():
         raise ValueError("graph is not connected")
-
-    def count(n_vertices_left, pair_list):
-        if n_vertices_left == 1:
-            return 1
-        if not pair_list:
-            return 0
-        u, v = pair_list[0]
-        rest = pair_list[1:]
-        deleted = count(n_vertices_left, rest)
-        merged = []
-        for a, b in rest:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                merged.append((a2, b2))
-        contracted = count(n_vertices_left - 1, merged)
-        return deleted + contracted
-
-    pairs = [(u, v) for _, u, v in graph.edges if u != v]
-    return count(graph.n_vertices, pairs)
+    total = 0
+    branches = [(graph.n_vertices, [(u, v) for _, u, v in graph.edges if u != v])]
+    while branches:
+        n_vertices, pairs = branches.pop()
+        if n_vertices == 1:
+            total += 1
+        elif len(pairs) >= n_vertices - 1:
+            (u, v), rest = pairs[0], pairs[1:]
+            branches.append((n_vertices, rest))
+            merged = [(u if a == v else a, u if b == v else b) for a, b in rest]
+            branches.append((n_vertices - 1, [(a, b) for a, b in merged if a != b]))
+    return total
 
 
 def graphic_matroid(graph):
@@ -228,11 +221,7 @@ def g_parking_equals_s_parking(graph):
     # the walk's leaves are not peeled here: the burning list checks them,
     # and the box cap bounds the walk's leaves as well as the burning
     system = star_system(graph)
-    cells = prod(map(len, system.sets))
-    if cells > MAX_CHECK_CANDIDATES:
-        raise ValueError(
-            f"too large: {cells} value vectors in the star box; "
-            f"burning them is capped at {MAX_CHECK_CANDIDATES}")
+    _box_budget(prod(map(len, system.sets)))
     star_defined = [f for f, _ in walk(system.masks)]
     degree_defined = list(filter(_burner(graph), product(*(range(len(s)) for s in system.sets))))
     return GParkingReport(degree_defined, star_defined)
@@ -245,9 +234,11 @@ def _is_classic(values, n):
 
 def classic_parking_functions(n):
     """All functions 1..n -> 1..n where, for every j, at least j entries
-    are <= j; lexicographic order."""
+    are <= j; lexicographic order.  Refuses a box of n^n functions beyond
+    ``_box_budget``, so n <= 7."""
     if n < 0:
         raise ValueError("need n >= 0")
+    _box_budget(n ** n)
     return [f for f in product(range(1, n + 1), repeat=n) if _is_classic(f, n)]
 
 
@@ -255,7 +246,8 @@ def classic_correspondence(n):
     """Check, over the whole candidate box, that a function is a classic
     parking function exactly when shifting it down by one gives a
     degree-defined parking function of the complete graph on n+1
-    vertices."""
+    vertices.  Refuses as ``classic_parking_functions`` does."""
+    _box_budget(n ** n)
     burns = _burner(complete_graph(n + 1))
     return all(burns(f) == _is_classic([v + 1 for v in f], n)
                for f in product(range(n), repeat=n))
@@ -289,7 +281,7 @@ def face_boundary_bijection(graph, boundaries, weights=None):
         raise PreconditionError(
             f"got {len(boundaries)} face sets, need k = |E| - |V| + 1 = {expected}")
     _subset_budget(expected)
-    side = _checked_side(graphic_matroid(graph), boundaries, "circuit", weights)
+    side = _Side(graphic_matroid(graph), boundaries, "circuit", weights)
     if side.non_union is not None:
         raise PreconditionError(f"face set {side.non_union} is not a union of cycles")
     imask = _independent_row(side.system, side.matroid)

@@ -9,7 +9,7 @@ public API.  Circuits and cocircuits still come from scans over bit
 combinations, which is the point: everything here exists to verify the
 parking-set/basis identities and the induced bijections on desk-scale
 instances.  A side of the theorem is set up once per call by
-``_checked_side``: one system of the parts over that universe, in its bit
+``_Side``: one system of the parts over that universe, in its bit
 order, whose masks give the union test (``_is_union``) and whose subfamily
 table gives the parking sets, the bracket on the reference matroid (the
 dual on the cocircuit side, computed on first use) and the full-cover
@@ -263,15 +263,36 @@ _FORMS = {"circuit": ("complements-of-parking-sets", "bases-and-complements"),
 
 
 class _Side:
-    """One side of the theorem for one parts family, from ``_checked_side``."""
+    """One side of the theorem for one parts family, set up once per call
+    after its part count is checked; its surviving bases are computed on
+    first use."""
 
-    def __init__(self, matroid, name, system, weighted, reference, xor, non_union):
+    def __init__(self, matroid, parts, name, weights=None):
         self.matroid, self.name = matroid, name  # name: "circuit" or "cocircuit"
-        self.system = system        # the parts, over the matroid's identity universe
-        self.weighted = weighted    # the parts over the caller's weights, or None
-        self.reference = reference  # ``matroid``, or its dual on the cocircuit side
-        self.xor = xor              # parking set ^ xor = its basis: the ground's mask, or 0
-        self.non_union = non_union  # index of the first part that is no union of circuits, or None
+        self.system = _parts_system(matroid, parts)  # over the matroid's identity universe
+        k = self.system.k
+        # reference: ``matroid``, or its dual on the cocircuit side;
+        # parking set ^ xor is its basis
+        if name == "circuit":
+            expected = len(matroid.ground) - matroid.rank_value
+            if k != expected:
+                raise PreconditionError(
+                    f"circuit side needs k = |ground| - rank = {expected}, got k = {k}")
+            self.reference, self.xor = matroid, (1 << len(matroid.ground)) - 1
+        elif name == "cocircuit":
+            if k != matroid.rank_value:
+                raise PreconditionError(
+                    f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {k}")
+            self.reference, self.xor = matroid.dual, 0
+        else:
+            raise ValueError(f"side must be 'circuit' or 'cocircuit', got {name!r}")
+        # the index of the first part that is no union of circuits of the
+        # reference, or None
+        self.non_union = next((i for i, m in enumerate(self.system.masks, start=1)
+                               if not self.reference._is_union(m)), None)
+        # the parts over the caller's weights, or None
+        self.weighted = (None if weights is None
+                         else _system_over(matroid.ground, self.system.sets, weights))
 
     @_cached
     def _survivors(self):
@@ -315,30 +336,6 @@ class _Side:
         return cover
 
 
-def _checked_side(matroid, parts, side, weights=None):
-    """Check the side's part count and set up the side once; its surviving
-    bases are computed on first use."""
-    system = _parts_system(matroid, parts)
-    k = system.k
-    if side == "circuit":
-        expected = len(matroid.ground) - matroid.rank_value
-        if k != expected:
-            raise PreconditionError(
-                f"circuit side needs k = |ground| - rank = {expected}, got k = {k}")
-        reference, xor = matroid, (1 << len(matroid.ground)) - 1
-    elif side == "cocircuit":
-        if k != matroid.rank_value:
-            raise PreconditionError(
-                f"cocircuit side needs k = rank = {matroid.rank_value}, got k = {k}")
-        reference, xor = matroid.dual, 0
-    else:
-        raise ValueError(f"side must be 'circuit' or 'cocircuit', got {side!r}")
-    non_union = next((i for i, m in enumerate(system.masks, start=1)
-                      if not reference._is_union(m)), None)
-    weighted = None if weights is None else _system_over(matroid.ground, system.sets, weights)
-    return _Side(matroid, side, system, weighted, reference, xor, non_union)
-
-
 def _independent_row(system, reference):
     """The bitmask of the first subfamily, in ``system.table`` order, whose
     exactly-one set is independent (circuit-free) in ``reference``, or None.
@@ -354,14 +351,14 @@ def parking_sets_vs_bases_circuit_side(matroid, parts):
     """Check the circuit-side identity: with k = |E| - rank, the bases
     outside the bracket are exactly the complements of the parking sets
     (intersected with the bases when not all parts are circuit-unions)."""
-    return _checked_side(matroid, parts, "circuit").identity()
+    return _Side(matroid, parts, "circuit").identity()
 
 
 def parking_sets_vs_bases_cocircuit_side(matroid, parts):
     """Check the cocircuit-side identity: with k = rank, the bases meeting
     every exactly-one set are exactly the parking sets (intersected with
     the bases when not all parts are cocircuit-unions)."""
-    return _checked_side(matroid, parts, "cocircuit").identity()
+    return _Side(matroid, parts, "cocircuit").identity()
 
 
 def theorem_bijection(matroid, parts, side, weights=None):
@@ -372,7 +369,7 @@ def theorem_bijection(matroid, parts, side, weights=None):
     image is verified to be exactly the surviving-basis family, hit
     injectively.
     """
-    return _checked_side(matroid, parts, side, weights).theorem()
+    return _Side(matroid, parts, side, weights).theorem()
 
 
 def corollary_full_cover(matroid, parts, side):
@@ -380,7 +377,7 @@ def corollary_full_cover(matroid, parts, side):
     dependent (contains a circuit, or a cocircuit via the dual).  In
     that case the surviving-basis family is everything and the theorem
     bijection covers all bases, which is verified as well."""
-    checked = _checked_side(matroid, parts, side)
+    checked = _Side(matroid, parts, side)
     checked.theorem()
     return checked.cover()
 

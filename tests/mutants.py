@@ -59,6 +59,18 @@ MUTANTS = [
      ["tests/test_enumeration.py::test_roundtrip_check_reports_failures"]),
     (CLI, "_box_budget(prod(map(len, system.sets)))", "None",
      ["tests/test_cli.py::test_enumerate_functions_refuses_a_box_beyond_the_cap_before_it_walks"]),
+    # verify's Q from the table's minimal pools, not the singleton pools
+    # alone; each oracle's refusals before it folds a pool
+    (ENUMERATION, "found = table_sets(system)", "found = pool_filter(system.masks, system.masks)",
+     ["tests/test_enumeration.py::test_verify_reports_equal_the_definitional_route"]),
+    (ENUMERATION, "_box_budget(cells)\n    _oracle_budget(", "_oracle_budget(",
+     ["tests/test_enumeration.py::test_each_oracle_refuses_before_it_folds_a_pool"]),
+    (ENUMERATION, '_oracle_budget(cells, "value vectors", len(sets))', "None",
+     ["tests/test_enumeration.py::test_each_oracle_refuses_before_it_folds_a_pool"]),
+    (ENUMERATION, "_candidate_budget(k, len(covered))", "None",
+     ["tests/test_enumeration.py::test_each_oracle_refuses_before_it_folds_a_pool"]),
+    (ENUMERATION, '_oracle_budget(comb(len(covered), k), "candidate sets", k)', "None",
+     ["tests/test_enumeration.py::test_each_oracle_refuses_before_it_folds_a_pool"]),
     (SYSTEMS, "if k > MAX_CHECK_SETS:", "if k > MAX_CHECK_SETS + 1:",
      ["tests/test_enumeration.py::test_the_candidate_caps_are_inclusive"]),
     # the certificates, the input checks and the weight order
@@ -95,6 +107,12 @@ MUTANTS = [
      ["tests/test_graphs.py::test_classic_n0_is_the_empty_function"]),
     (GRAPHS, "ordered[j] <= j + 1", "ordered[j] <= j + 2",
      ["tests/test_graphs.py::test_classic_n2"]),
+    # the classic box's refusal, and deletion-contraction's prune of the
+    # branches with too few edges to span
+    (GRAPHS, "_box_budget(n ** n)\n    return [f", "return [f",
+     ["tests/test_graphs.py::test_classic_refuses_a_box_beyond_the_cap"]),
+    (GRAPHS, "elif len(pairs) >= n_vertices - 1:", "elif len(pairs) > n_vertices - 1:",
+     ["tests/test_graphs.py::test_deletion_contraction_prunes_the_branches_that_cannot_span"]),
     # the matroid layer: the bracket, the exchange check, the cover search's
     # cap, and the survivors: the bracket's complement, read backwards on the
     # cocircuit side

@@ -7,7 +7,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -16,6 +16,8 @@ import sparking.systems
 from sparking import SetSystem, Universe, VerificationError, verify_bijection
 from sparking.bijections import sweep, walk
 from sparking.enumeration import (
+    MAX_ORACLE_PAIRS,
+    VerificationReport,
     all_mask_systems,
     all_set_systems,
     box_filter,
@@ -143,6 +145,70 @@ def test_verify_bijection_random_medium():
     for _ in range(25):
         report = verify_bijection(random_set_system(rng, max_k=3, max_universe=6))
         assert report.ok
+
+
+def _verify_by_definition(system):
+    """The report as ``verify_bijection`` built it with both families from
+    the definitional oracles, refusing as it did."""
+    k, covered, cells = system.k, len(system.covered), prod(map(len, system.sets))
+    for count, what in ((cells, "value vectors"), (comb(covered, k), "candidate sets")):
+        if count << k > MAX_ORACLE_PAIRS:
+            raise ValueError(f"too large: {count} {what} times 2^{k} subfamilies")
+    functions = enumerate_parking_functions(system)
+    sets_ = enumerate_parking_sets(system)
+    universe = system.universe
+    forward, failures = check_roundtrip(
+        system.masks, functions, [universe.mask_of(d) for d in sets_],
+        show=lambda d: sorted(universe.elements_of(d)))
+    pairs = [(f, universe.elements_of(forward[f])) for f in functions
+             if forward[f] is not None]
+    return VerificationReport(functions, sets_, pairs, failures)
+
+
+def test_verify_reports_equal_the_definitional_route():
+    # Q comes from the subfamily table, the report as the oracles give it
+    rng = random.Random(26)
+    systems = list(all_set_systems(3, 4, canonical=False))
+    systems += [random_set_system(rng, 5, 7, shuffled_weights=True) for _ in range(300)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for system in systems:
+            report, old = verify_bijection(system), _verify_by_definition(system)
+            assert report.to_jsonable() == old.to_jsonable()
+            assert (report.sets, report.pairs) == (old.sets, old.pairs)
+    assert any(system.universe.order != tuple(sorted(system.covered)) for system in systems)
+
+
+def test_verify_pairs_a_system_with_more_candidate_sets_than_the_oracle_takes():
+    # ten disjoint pairs: C(20, 10) * 2^10 candidate-subfamily pairs are past
+    # the set oracle's cap, but the table lists the 2^10 parking sets
+    system = SetSystem([{2 * j + 1, 2 * j + 2} for j in range(10)])
+    with pytest.raises(ValueError, match="^too large: 184756 candidate sets times 2\\^10"):
+        enumerate_parking_sets(system)
+    report = verify_bijection(system)
+    assert report.ok and report.n_functions == report.n_sets == 1024
+
+
+@pytest.mark.parametrize("sets, oracle, refusal", [
+    ([range(1, 3000), range(1, 3000), {1, 2, 3}], enumerate_parking_functions,
+     "26982003 value vectors in the box; filtering"),
+    ([range(1, 3000), range(1, 3000), {1, 2, 3}], enumerate_parking_sets,
+     "C(2999, 3) = 4491005499 candidate sets; filtering"),
+    ([range(4 * j + 1, 4 * j + 5) for j in range(10)], enumerate_parking_functions,
+     "1048576 value vectors times 2^10 subfamilies; checking"),
+    ([{2 * j + 1, 2 * j + 2} for j in range(10)], enumerate_parking_sets,
+     "184756 candidate sets times 2^10 subfamilies; checking"),
+], ids=["functions-box", "sets-candidates", "functions-pairs", "sets-pairs"])
+def test_each_oracle_refuses_before_it_folds_a_pool(sets, oracle, refusal, monkeypatch):
+    def no_fold(system):
+        raise RuntimeError("a pool was folded")
+        yield
+    monkeypatch.setattr(sparking.enumeration, "_subfamily_pools", no_fold)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        oracle(SetSystem(sets))
+    assert str(refused.value).startswith(f"too large: {refusal}")
+    assert time.perf_counter() - start < 1.0
 
 
 # --- generators ---------------------------------------------------------------

@@ -5,6 +5,8 @@ from itertools import combinations, product
 
 import pytest
 
+import sparking.enumeration
+import sparking.graphs
 from sparking import (
     Multigraph,
     PreconditionError,
@@ -181,6 +183,44 @@ def test_deletion_contraction_matches_brute_force():
         assert deletion_contraction_count(g) == len(spanning_trees(g))
 
 
+def _recursive_count(graph):
+    """The deletion-contraction count as a recursion over the edge list,
+    without pruning: one call per branch, 2^|E| branches at most."""
+    def count(n_vertices_left, pair_list):
+        if n_vertices_left == 1:
+            return 1
+        if not pair_list:
+            return 0
+        u, v = pair_list[0]
+        rest = pair_list[1:]
+        merged = [(u if a == v else a, u if b == v else b) for a, b in rest]
+        return count(n_vertices_left, rest) + count(n_vertices_left - 1,
+                                                    [(a, b) for a, b in merged if a != b])
+    return count(graph.n_vertices, [(u, v) for _, u, v in graph.edges if u != v])
+
+
+def test_deletion_contraction_loop_equals_the_recursion():
+    graphs = [complete_graph(n) for n in range(1, 7)]
+    rng = random.Random(26)
+    graphs += [random_connected_multigraph(rng, 6, 10) for _ in range(300)]
+    for g in graphs:
+        assert deletion_contraction_count(g) == _recursive_count(g)
+
+
+def test_deletion_contraction_prunes_the_branches_that_cannot_span():
+    # a tree has one spanning tree, and every deletion leaves too few edges:
+    # the count is one walk down the contractions, with no recursion limit
+    def path(n):
+        return Multigraph(n, [(i, i - 1, i) for i in range(1, n)])
+    start = time.perf_counter()
+    assert deletion_contraction_count(path(1200)) == 1
+    assert deletion_contraction_count(path(30)) == 1
+    cycle = Multigraph(60, [(v + 1, v, (v + 1) % 60) for v in range(60)])
+    assert deletion_contraction_count(cycle) == 60
+    assert deletion_contraction_count(complete_graph(7)) == 7 ** 5
+    assert time.perf_counter() - start < 5.0
+
+
 # --- graphic matroid ------------------------------------------------------------
 
 def test_graphic_matroid_k3(k3):
@@ -345,7 +385,7 @@ def test_g_parking_equals_s_parking_refuses_beyond_the_cap():
     # functions and the burning filter scan a 21^21 box
     k22 = complete_graph(22)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="value vectors in the star box"):
+    with pytest.raises(ValueError, match="value vectors in the box"):
         g_parking_equals_s_parking(k22)
     assert time.perf_counter() - start < 1.0
 
@@ -377,6 +417,24 @@ def test_classic_counts():
 def test_classic_correspondence():
     for n in range(1, 5):
         assert classic_correspondence(n)
+
+
+def test_classic_refuses_a_box_beyond_the_cap(monkeypatch):
+    # 12^12 candidate functions; both refuse before they walk the box
+    def no_box(*args, **kwargs):
+        raise RuntimeError("the box was walked")
+    monkeypatch.setattr(sparking.graphs, "product", no_box)
+    for n in (8, 12):
+        for classic in (classic_parking_functions, classic_correspondence):
+            with pytest.raises(ValueError, match=f"^too large: {n ** n} value vectors in the box"):
+                classic(n)
+    monkeypatch.undo()
+    # the cap is inclusive: a box of exactly the cap is walked
+    monkeypatch.setattr(sparking.enumeration, "MAX_CHECK_CANDIDATES", 3 ** 3)
+    assert len(classic_parking_functions(3)) == 16 and classic_correspondence(3)
+    monkeypatch.setattr(sparking.enumeration, "MAX_CHECK_CANDIDATES", 3 ** 3 - 1)
+    with pytest.raises(ValueError, match="^too large: 27 value vectors in the box"):
+        classic_parking_functions(3)
 
 
 # --- tree bijections ----------------------------------------------------------------------
@@ -588,7 +646,7 @@ def test_star_bijection_is_the_cocircuit_theorem(reverse):
 def test_g_parking_refuses_a_star_box_beyond_the_cap():
     # K12 has 11 star sets, within the table's cap, but 11^11 vectors to burn
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="too large: 285311670611 value vectors in the star box"):
+    with pytest.raises(ValueError, match="too large: 285311670611 value vectors in the box"):
         g_parking_equals_s_parking(complete_graph(12))
     assert time.perf_counter() - start < 1.0
 

@@ -35,7 +35,7 @@ from sparking.graphs import (
 from sparking.cli import main
 from sparking.enumeration import _BITS, pool_filter, table_sets
 from sparking.formats import parse_matroid
-from sparking.matroids import (_FORMS, BasesIdentityReport, _bracket, _checked_side,
+from sparking.matroids import (_FORMS, BasesIdentityReport, _bracket, _Side,
                                _independent_row, _parts_system)
 from sparking.systems import SetSystem, _system_over, exactly_one_sets
 
@@ -285,7 +285,7 @@ def test_full_cover_ranks_only_the_minimal_pools():
     k7 = complete_graph(7)
     edge = {(u, v): e for e, u, v in k7.edges}
     triangles = [{edge[0, i], edge[0, j], edge[i, j]} for i, j in combinations(range(1, 7), 2)]
-    side = _checked_side(graphic_matroid(k7), triangles, "circuit")
+    side = _Side(graphic_matroid(k7), triangles, "circuit")
     rank, calls = side.reference._rank, []
     side.reference._rank = lambda m: calls.append(m) or rank(m)
     assert side.cover()
@@ -295,7 +295,7 @@ def test_full_cover_ranks_only_the_minimal_pools():
 def test_parts_systems_reuse_the_universe_bit_order():
     matroid = graphic_matroid(complete_graph(5))
     universe = matroid._universe
-    system = _checked_side(matroid, star_sets(complete_graph(5)), "cocircuit").system
+    system = _Side(matroid, star_sets(complete_graph(5)), "cocircuit").system
     assert system.universe is universe
     assert universe.order is universe.order and universe.bit is universe.bit
     # parts systems stay quiet about an empty member; the public
@@ -474,7 +474,7 @@ def _identity_by_the_set_route(matroid, parts, side):
     """The identity report built as the library built it before its
     bracket became a bitset: the bracket as a set of masks, the survivors
     as a set difference, and one decode per surviving mask."""
-    checked = _checked_side(matroid, parts, side)
+    checked = _Side(matroid, parts, side)
     system, reference, xor = checked.system, checked.reference, checked.xor
     target = frozenset(reference._masks).difference(_bracket_masks(reference, system))
     if side == "cocircuit":
@@ -507,7 +507,7 @@ def _identity_families():
 def test_the_identity_reports_match_the_set_route_byte_for_byte():
     reports = unequal = 0
     for matroid, parts, side in _identity_families():
-        report = _checked_side(matroid, parts, side).identity()
+        report = _Side(matroid, parts, side).identity()
         old = _identity_by_the_set_route(matroid, parts, side)
         assert json.dumps(report.to_jsonable()) == json.dumps(old.to_jsonable())
         assert (report.lhs, report.rhs) == (old.lhs, old.rhs)

@@ -38,14 +38,14 @@ ORACLES = {"enumerate_parking_functions", "enumerate_parking_sets",
            "is_parking_function", "is_parking_set"}
 
 
-def _uses(name, names):
+def _uses(name, names, skip=()):
     """Where module ``name`` imports or names one of ``names``, outside
-    the definitions of those names themselves."""
+    the definitions of those names themselves and of the functions ``skip``."""
     found = []
     pending = [ast.parse((Path(sparking.__file__).parent / name).read_text())]
     while pending:
         node = pending.pop()
-        if isinstance(node, ast.FunctionDef) and node.name in names:
+        if isinstance(node, ast.FunctionDef) and (node.name in names or node.name in skip):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             used = {alias.name.rpartition(".")[2] for alias in node.names}
@@ -64,6 +64,14 @@ def test_graph_and_matroid_layers_stay_off_the_oracles():
     # their families, and the CLI's, come from the subfamily table; the
     # exponential per-candidate checks are test oracles only
     assert not sum((_uses(name, ORACLES) for name in ("graphs.py", "matroids.py", "cli.py")), [])
+    # so does every Q in the library: no module but the package's export
+    # list names the set oracle or a membership oracle, and only verify's P
+    # still comes from the value oracle
+    modules = [path.name for path in SOURCES if path.name != "__init__.py"]
+    values = {"enumerate_parking_functions"}
+    assert not sum((_uses(name, ORACLES - values) for name in modules), [])
+    assert not sum((_uses(name, values, skip={"verify_bijection"}) for name in modules), [])
+    assert _uses("enumeration.py", values)
 
 
 def test_input_validation_stays_off_the_oracles():
@@ -187,7 +195,7 @@ def test_matroid_layer_neither_encodes_nor_decodes():
     defs.update((f"{cls.name}.{node.name}", node) for cls in tree.body
                 if isinstance(cls, ast.ClassDef) for node in cls.body
                 if isinstance(node, ast.FunctionDef))
-    names = ("_bracket", "_checked_side", "_independent_row", "find_cocircuit_cover_families",
+    names = ("_bracket", "_Side.__init__", "_independent_row", "find_cocircuit_cover_families",
              "Matroid._is_union", "Matroid._columns")
     coders = {"mask_of", "elements_of", "_mask", "rank", "is_union_of_circuits"}
     found = [f"{name}:{node.lineno} {node.attr}" for name in names
